@@ -258,7 +258,6 @@ struct PruningArm {
   int strategies_pruned = 0;
   int early_win_cancels = 0;
   int probes_skipped = 0;
-  int cutoff_aborts = 0;
   std::vector<double> periods;
   std::vector<runtime::Strategy> winners;
 };
@@ -282,7 +281,6 @@ PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
     arm.strategies_pruned += r.pruning.strategies_pruned;
     arm.early_win_cancels += r.pruning.early_win_cancels;
     arm.probes_skipped += r.pruning.probes_skipped;
-    arm.cutoff_aborts += r.pruning.cutoff_aborts;
     for (const runtime::CandidateOutcome& c : r.candidates) {
       arm.iterations += c.lp.iterations;
     }
@@ -293,7 +291,6 @@ PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
 struct PruningReport {
   PruningArm blind;
   PruningArm det;
-  PruningArm aggressive;
   int mismatches = 0;
 
   double det_speedup() const {
@@ -314,11 +311,8 @@ PruningReport run_pruning_phase(
                                  threads);
   report.det = run_pruning_arm(corpus, runtime::PruningPolicy::Deterministic,
                                threads);
-  report.aggressive = run_pruning_arm(
-      corpus, runtime::PruningPolicy::Aggressive, threads);
   for (size_t i = 0; i < corpus.size(); ++i) {
-    // Deterministic must certify the bit-identical period AND winner;
-    // Aggressive must certify the identical period.
+    // Deterministic must certify the bit-identical period AND winner.
     if (report.det.periods[i] != report.blind.periods[i] ||
         report.det.winners[i] != report.blind.winners[i]) {
       std::printf("VIOLATION: deterministic pruning changed instance %zu "
@@ -329,29 +323,21 @@ PruningReport run_pruning_phase(
                   runtime::strategy_name(report.det.winners[i]));
       ++report.mismatches;
     }
-    if (report.aggressive.periods[i] != report.blind.periods[i]) {
-      std::printf("VIOLATION: aggressive pruning changed instance %zu "
-                  "period (blind %.12g, aggressive %.12g)\n",
-                  i, report.blind.periods[i], report.aggressive.periods[i]);
-      ++report.mismatches;
-    }
   }
   return report;
 }
 
 void print_pruning_report(const PruningReport& report) {
   bench::Table table({"arm", "wall ms", "simplex iters", "pruned",
-                      "early-win", "cutoffs"});
+                      "early-win"});
   auto row = [&](const char* name, const PruningArm& arm) {
     table.add_row({name, bench::fmt(arm.wall_ms, 1),
                    std::to_string(arm.iterations),
                    std::to_string(arm.strategies_pruned),
-                   std::to_string(arm.early_win_cancels),
-                   std::to_string(arm.cutoff_aborts)});
+                   std::to_string(arm.early_win_cancels)});
   };
   row("blind (Off)", report.blind);
   row("deterministic", report.det);
-  row("aggressive", report.aggressive);
   table.print();
   std::printf("deterministic pruning: %.2fx wall, %.0f%% fewer simplex "
               "iterations, %d period/winner mismatches\n",
@@ -902,15 +888,11 @@ int main(int argc, char** argv) {
        << "    \"policy_default\": \"deterministic\",\n"
        << "    \"blind_ms\": " << pruning_report.blind.wall_ms << ",\n"
        << "    \"deterministic_ms\": " << pruning_report.det.wall_ms << ",\n"
-       << "    \"aggressive_ms\": " << pruning_report.aggressive.wall_ms
-       << ",\n"
        << "    \"speedup\": " << pruning_report.det_speedup() << ",\n"
        << "    \"blind_iterations\": " << pruning_report.blind.iterations
        << ",\n"
        << "    \"deterministic_iterations\": "
        << pruning_report.det.iterations << ",\n"
-       << "    \"aggressive_iterations\": "
-       << pruning_report.aggressive.iterations << ",\n"
        << "    \"iteration_saving\": "
        << pruning_report.det_iteration_saving() << ",\n"
        << "    \"strategies_pruned\": "
@@ -919,8 +901,6 @@ int main(int argc, char** argv) {
        << pruning_report.det.early_win_cancels << ",\n"
        << "    \"probes_skipped\": " << pruning_report.det.probes_skipped
        << ",\n"
-       << "    \"aggressive_cutoff_aborts\": "
-       << pruning_report.aggressive.cutoff_aborts << ",\n"
        << "    \"period_mismatches\": " << pruning_report.mismatches << "\n"
        << "  },\n";
   json_lp_scale(json, lp_scale_points, lp_scale_violations);

@@ -67,7 +67,6 @@ struct LpStats {
 /// Per-strategy cooperative-pruning counters (see PruningPolicy).
 struct PruneCounters {
   int probes_skipped = 0;  ///< heuristic probes not run after a cut
-  int cutoff_aborts = 0;   ///< LP solves stopped mid-flight by a checkpoint
 };
 
 /// One strategy's result inside the portfolio race.
@@ -98,7 +97,6 @@ struct PruningSummary {
   int strategies_pruned = 0;   ///< strategies cut as dominated
   int early_win_cancels = 0;   ///< strategies cut by the early-win signal
   int probes_skipped = 0;      ///< heuristic probes not run
-  int cutoff_aborts = 0;       ///< LP solves stopped by a cutoff checkpoint
   /// Simplex iterations spent proving the Multicast-LB lower bound (the
   /// one extra LP a pruning race pays; 0 when pruning is off).
   long long lb_probe_iterations = 0;
@@ -183,8 +181,8 @@ struct SolveTrace {
   // Cut-predicate accounting (Counters and above).
   CutPredicateTrace sub_scatter;      ///< start-of-strategy scatter dominance
   CutPredicateTrace early_win;        ///< incumbent met the proven LB
-  CutPredicateTrace probe_poll;       ///< between-probe polls (dominance,
-                                      ///< abort and LB-convergence cuts)
+  CutPredicateTrace probe_poll;       ///< between-probe LB-convergence
+                                      ///< polls of the LP heuristics
   CutPredicateTrace reconstruct_skip; ///< multicast_ub reconstruction skip
 
   /// LP checkpoint latency histogram: bucket 0 counts gaps below 1us,

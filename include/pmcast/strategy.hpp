@@ -64,23 +64,19 @@ inline std::optional<StrategyId> strategy_id_from_name(std::string_view name) {
 /// (mirrors the runtime's PruningPolicy one-to-one; checked by a
 /// static_assert in the Service implementation). Every cut is *sound* —
 /// the pruned work provably could not have produced a better certified
-/// period — so the response's period is the same under all three policies.
+/// period — so the response's period is the same under both policies.
 enum class PruningPolicy {
   Off = 0,        ///< blind-to-completion: run every allowed strategy
   Deterministic,  ///< staged race: pruning decisions read barrier-fenced
                   ///< snapshots only, so per-strategy outcomes are
                   ///< bit-identical across thread counts and the winner
                   ///< and period match Off exactly
-  Aggressive,     ///< additionally consult live incumbents mid-solve:
-                  ///< which dominated losers get cut may vary run to run,
-                  ///< the certified winner's period never does
 };
 
 inline const char* pruning_policy_id_name(PruningPolicy policy) {
   switch (policy) {
     case PruningPolicy::Off: return "off";
     case PruningPolicy::Deterministic: return "deterministic";
-    case PruningPolicy::Aggressive: return "aggressive";
   }
   return "?";
 }

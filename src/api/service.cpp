@@ -45,9 +45,7 @@ static_assert(
     static_cast<int>(PruningPolicy::Off) ==
             static_cast<int>(runtime::PruningPolicy::Off) &&
         static_cast<int>(PruningPolicy::Deterministic) ==
-            static_cast<int>(runtime::PruningPolicy::Deterministic) &&
-        static_cast<int>(PruningPolicy::Aggressive) ==
-            static_cast<int>(runtime::PruningPolicy::Aggressive),
+            static_cast<int>(runtime::PruningPolicy::Deterministic),
     "PruningPolicy must mirror runtime::PruningPolicy");
 
 static_assert(
@@ -230,8 +228,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     bool budget_starved = false;
     std::string first_failure;
     for (const runtime::CandidateOutcome& c : run.candidates) {
-      if (c.skip_reason == runtime::SkipReason::Budget ||
-          c.skip_reason == runtime::SkipReason::DeadlineExpired ||
+      if (c.skip_reason == runtime::SkipReason::DeadlineExpired ||
           c.skip_reason == runtime::SkipReason::Cancelled) {
         budget_starved = true;
       }
@@ -284,7 +281,6 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     out.lp.master_iterations = c.lp.master_iterations;
     out.lp.pricing_ms = c.lp.pricing_ms;
     out.prune.probes_skipped = c.prune.probes_skipped;
-    out.prune.cutoff_aborts = c.prune.cutoff_aborts;
     out.detail = c.detail;
     switch (out.state) {
       case OutcomeState::Certified:
@@ -309,7 +305,6 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
   response.pruning.strategies_pruned = run.pruning.strategies_pruned;
   response.pruning.early_win_cancels = run.pruning.early_win_cancels;
   response.pruning.probes_skipped = run.pruning.probes_skipped;
-  response.pruning.cutoff_aborts = run.pruning.cutoff_aborts;
   response.pruning.lb_probe_iterations = run.pruning.lb_probe_iterations;
   response.pruning.proven_lower_bound = run.pruning.proven_lb;
   response.trace = to_public(run.trace);

@@ -67,7 +67,6 @@ struct ExactSolution {
                                   ///< span them; sound, value-preserving)
   bool aborted = false;           ///< stopped by EnumerationLimits::
                                   ///< should_abort or an LP Abort checkpoint
-  bool cutoff = false;            ///< LP stopped by a Cutoff checkpoint
   int lp_iterations = 0;          ///< simplex iterations of the tree LP
   bool column_generation = false; ///< solved by the pricing loop, not
                                   ///< enumeration — the throughput is a

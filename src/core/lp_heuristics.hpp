@@ -31,19 +31,14 @@
 namespace pmcast::core {
 
 /// Cooperative controls the runtime threads into a heuristic's greedy
-/// descent. Both hooks are polled between LP probes, and the same verdicts
-/// are surfaced *inside* probes through the solver checkpoint
+/// descent. Both hooks are polled between LP probes; deadlines are also
+/// surfaced *inside* probes through the solver checkpoint
 /// (lp::SolverOptions::checkpoint), so a long LP solve reacts within one
 /// checkpoint interval. Null members are never called.
 struct ProbeControl {
   /// Deadline / cancellation: true => stop now; the heuristic returns its
   /// best-so-far with `aborted` set.
   std::function<bool()> should_abort;
-  /// Dominance (cooperative pruning): true => no remaining probe of this
-  /// heuristic can produce a winning candidate; the heuristic returns with
-  /// `pruned` set. Only ever driven by *sound* dominance predicates (see
-  /// runtime/incumbent.hpp) — the certified portfolio winner is unaffected.
-  std::function<bool()> dominated;
   /// Lower-bound convergence: called with the heuristic's current accepted
   /// period; true => that value already meets a proven lower bound, so no
   /// remaining probe can be accepted (acceptance demands a strictly better
@@ -63,7 +58,7 @@ struct HeuristicOptions {
   /// reuse, see lp/resolve.hpp). Off = rebuild and cold-solve every LP,
   /// the pre-warm-start behaviour kept for differential testing.
   bool warm_start = true;
-  /// Runtime-supplied abort/dominance hooks (default: never fire).
+  /// Runtime-supplied abort/convergence hooks (default: never fire).
   ProbeControl control;
 };
 
@@ -74,10 +69,8 @@ struct PlatformHeuristicResult {
   int lp_solves = 0;
   lp::ResolveStats lp_stats;   ///< warm-start counters of the LP sequence
   bool aborted = false;        ///< stopped by ProbeControl::should_abort
-  bool pruned = false;         ///< stopped by ProbeControl::dominated
   bool converged = false;      ///< stopped by ProbeControl::converged
   int probes_skipped = 0;      ///< probes of the interrupted round not run
-  int cutoff_aborts = 0;       ///< LP solves stopped by the checkpoint
 };
 
 /// REDUCED BROADCAST (Fig. 6).
@@ -96,10 +89,8 @@ struct AugmentedSourcesResult {
   int lp_solves = 0;
   lp::ResolveStats lp_stats;    ///< warm-start counters of the LP sequence
   bool aborted = false;         ///< stopped by ProbeControl::should_abort
-  bool pruned = false;          ///< stopped by ProbeControl::dominated
   bool converged = false;       ///< stopped by ProbeControl::converged
   int probes_skipped = 0;       ///< probes of the interrupted round not run
-  int cutoff_aborts = 0;        ///< LP solves stopped by the checkpoint
 };
 
 /// AUGMENTED SOURCES / "Multisource MC" (Fig. 8).

@@ -3,11 +3,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -299,76 +298,6 @@ Result<PlatformFile> load_platform(const std::string& path) {
   }
   return read_platform(in, path);
 }
-
-namespace {
-
-/// Flatten a Status into the pre-v1 "line N..." error string.
-void fill_legacy_error(const Status& status, std::string* error) {
-  if (error == nullptr) return;
-  std::ostringstream os;
-  if (status.location() && status.location()->line > 0) {
-    os << "line " << status.location()->line;
-    if (status.location()->column > 0) {
-      os << ", col " << status.location()->column;
-    }
-    os << ": ";
-  }
-  os << status.message();
-  if (status.location() && !status.location()->token.empty()) {
-    os << " (near '" << status.location()->token << "')";
-  }
-  *error = os.str();
-}
-
-/// One stderr warning per process, whichever shim is hit first. External
-/// callers keep working; the nag (plus the [[deprecated]] attribute) is
-/// their migration signal.
-void warn_deprecated_shim_once(const char* name) {
-  static std::once_flag warned;
-  std::call_once(warned, [name] {
-    std::fprintf(stderr,
-                 "pmcast: %s() is deprecated; use read_platform()/"
-                 "read_platform_text() and the Status/Result API "
-                 "(see DESIGN_API.md)\n",
-                 name);
-  });
-}
-
-}  // namespace
-
-// The definitions themselves intentionally reference the deprecated
-// declarations.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-std::optional<PlatformFile> parse_platform(std::istream& in,
-                                           std::string* error) {
-  warn_deprecated_shim_once("parse_platform");
-  Result<PlatformFile> result = read_platform(in);
-  if (!result.ok()) {
-    fill_legacy_error(result.status(), error);
-    return std::nullopt;
-  }
-  return std::move(result).value();
-}
-
-std::optional<PlatformFile> parse_platform_string(const std::string& text,
-                                                  std::string* error) {
-  warn_deprecated_shim_once("parse_platform_string");
-  std::istringstream in(text);
-  Result<PlatformFile> result = read_platform(in, "<string>");
-  if (!result.ok()) {
-    fill_legacy_error(result.status(), error);
-    return std::nullopt;
-  }
-  return std::move(result).value();
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 

@@ -23,12 +23,8 @@
 /// model: every diagnostic carries the origin (file path or "<string>"),
 /// 1-based line and column, and the offending token — e.g.
 ///     net.platform:7:12: edge cost must be finite and > 0 (near '-3')
-/// The optional<>-based parse_platform/parse_platform_string overloads are
-/// deprecated shims kept for source compatibility; they flatten the same
-/// diagnostic into "line L, col C: message (near 'tok')".
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,19 +47,6 @@ Result<PlatformFile> read_platform_text(const std::string& text,
                                         std::string origin = "<string>");
 /// Open \p path and parse it; a missing/unreadable file is kNotFound.
 Result<PlatformFile> load_platform(const std::string& path);
-
-/// Deprecated: pre-v1 shims over read_platform*(). On error they return
-/// nullopt and, if \p error is non-null, fill it with the flattened
-/// diagnostic (which always contains "line <L>"). Calling either emits a
-/// one-time deprecation warning on stderr; no in-tree target may use them
-/// (enforced at configure time, see pmcast_check_public_includes) and they
-/// will be removed in v2.
-[[deprecated("use read_platform() and the Status/Result API")]]
-std::optional<PlatformFile> parse_platform(std::istream& in,
-                                           std::string* error = nullptr);
-[[deprecated("use read_platform_text() and the Status/Result API")]]
-std::optional<PlatformFile> parse_platform_string(const std::string& text,
-                                                  std::string* error = nullptr);
 
 /// Serialise a platform in the same format (round-trips with the parser).
 void write_platform(std::ostream& out, const PlatformFile& platform);

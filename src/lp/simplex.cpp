@@ -18,7 +18,6 @@ const char* to_string(SolveStatus s) {
     case SolveStatus::IterationLimit: return "iteration-limit";
     case SolveStatus::Numerical: return "numerical";
     case SolveStatus::Aborted: return "aborted";
-    case SolveStatus::CutoffReached: return "cutoff-reached";
   }
   return "?";
 }
@@ -719,7 +718,6 @@ Simplex::LoopResult Simplex::iterate(bool phase1) {
       switch (opt_.checkpoint()) {
         case CheckpointAction::Continue: break;
         case CheckpointAction::Abort: return LoopResult::Aborted;
-        case CheckpointAction::Cutoff: return LoopResult::Cutoff;
       }
     }
     if (phase1 && total_infeasibility() <= opt_.feas_tol) {
@@ -834,7 +832,6 @@ Solution Simplex::run(const Model& model) {
     LoopResult lr = iterate(/*phase1=*/true);
     if (lr == LoopResult::IterLimit) return fail(SolveStatus::IterationLimit);
     if (lr == LoopResult::Aborted) return fail(SolveStatus::Aborted);
-    if (lr == LoopResult::Cutoff) return fail(SolveStatus::CutoffReached);
     if (lr != LoopResult::Converged) return fail(SolveStatus::Numerical);
     if (!reinvert()) return fail(SolveStatus::Numerical);
     compute_basic_values();
@@ -854,7 +851,6 @@ Solution Simplex::run(const Model& model) {
     if (lr == LoopResult::Unbounded) return fail(SolveStatus::Unbounded);
     if (lr == LoopResult::Numerical) return fail(SolveStatus::Numerical);
     if (lr == LoopResult::Aborted) return fail(SolveStatus::Aborted);
-    if (lr == LoopResult::Cutoff) return fail(SolveStatus::CutoffReached);
     if (!reinvert()) return fail(SolveStatus::Numerical);
     compute_basic_values();
     if (total_infeasibility() <= 10 * opt_.feas_tol) {
@@ -864,7 +860,6 @@ Solution Simplex::run(const Model& model) {
     // Drifted: restore feasibility and re-optimise.
     LoopResult p1 = iterate(/*phase1=*/true);
     if (p1 == LoopResult::Aborted) return fail(SolveStatus::Aborted);
-    if (p1 == LoopResult::Cutoff) return fail(SolveStatus::CutoffReached);
     if (p1 != LoopResult::Converged) return fail(SolveStatus::Numerical);
   }
 

@@ -230,7 +230,6 @@ class Simplex {
     Unbounded,
     Numerical,
     Aborted,  // checkpoint said Abort
-    Cutoff,   // checkpoint said Cutoff
   };
   LoopResult iterate(bool phase1);
 

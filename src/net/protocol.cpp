@@ -435,7 +435,7 @@ Result<WireRequest> decode_solve_request(const Frame& frame) {
     return malformed("no-deadline flag with a nonzero deadline");
   }
   if (out.pruning != WireRequest::kInheritPruning &&
-      out.pruning > static_cast<std::uint8_t>(PruningPolicy::Aggressive)) {
+      out.pruning > static_cast<std::uint8_t>(PruningPolicy::Deterministic)) {
     return malformed("unknown pruning policy " + std::to_string(out.pruning));
   }
   if (!std::isfinite(out.known_lower_bound) || out.known_lower_bound < 0.0) {

@@ -7,14 +7,103 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/formulations.hpp"
 #include "graph/hash.hpp"
 
 namespace pmcast::runtime {
 namespace {
 
+/// Two certified periods within this *relative* distance are a tie, broken
+/// on launch order. This is the certification pipeline's own numeric
+/// tolerance: two candidates evaluating the same optimum can disagree by
+/// floating dust (observed ~1e-15 relative between an LP-derived bound and
+/// a schedule-derived period), and letting such dust pick the winner makes
+/// the result depend on whether a pruning cut stopped the later candidate —
+/// exactly the Det-vs-Off divergence the differential suite forbids.
+constexpr double kWinnerTieTol = 1e-9;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// The stage plan for one race: indices into \p strategies, grouped by
+/// strategy_stage() with empty stages dropped under Deterministic, one
+/// flat stage under Off (the blind fan-out).
+std::vector<std::vector<std::size_t>> plan_stages(
+    const std::vector<Strategy>& strategies, PruningPolicy policy) {
+  std::vector<std::vector<std::size_t>> stages;
+  if (policy == PruningPolicy::Deterministic) {
+    stages.assign(3, {});
+    for (std::size_t i = 0; i < strategies.size(); ++i) {
+      stages[static_cast<std::size_t>(strategy_stage(strategies[i]))]
+          .push_back(i);
+    }
+    std::erase_if(stages, [](const auto& s) { return s.empty(); });
+  } else {
+    stages.emplace_back(strategies.size());
+    for (std::size_t i = 0; i < strategies.size(); ++i) stages[0][i] = i;
+  }
+  return stages;
+}
+
+/// Solve Multicast-LB of \p problem (deadline-checkpointed through
+/// \p guard) and publish the value as \p incumbent's proven lower bound —
+/// the one extra LP a pruning race pays. Returns the simplex iterations
+/// spent.
+long long run_lb_probe(const core::MulticastProblem& problem,
+                       const BudgetGuard& guard, Incumbent& incumbent,
+                       Tracer* tracer) {
+  core::FormulationOptions lp_options;
+  // The LB probe has no strategy slot; it only feeds the latency
+  // histogram (slot -1 makes the timeline event a no-op).
+  lp_options.solver.checkpoint =
+      budget_checkpoint(guard, tracer, /*slot=*/-1, /*strategy=*/0xFF);
+  core::FlowSolution lb = core::solve_multicast_lb(problem, lp_options);
+  if (lb.ok()) {
+    // Publish the LP value as reported. An earlier revision deflated it by
+    // 1e-7 to guard against the simplex overshooting the true optimum by
+    // tolerance dust — but certified periods are *achievable*, hence >=
+    // the true lower bound, so the deflation made "certified <= proven_lb"
+    // (the early-win predicate) unsatisfiable on every instance: the cut
+    // was dead code, confirmed by the tracer's miss margins clustering at
+    // exactly lb * 1e-7. Overshoot dust is bounded by fp rounding of the
+    // objective evaluation (~1e-13 relative), far below the 1e-9
+    // acceptance tolerance the heuristics use, and the differential suite
+    // (Deterministic vs Off bit-identity on the golden corpus) guards the
+    // soundness empirically.
+    incumbent.publish_lower_bound(lb.period);
+  }
+  return lb.iterations;
+}
+
+/// Pick winner/ok/period out of completed candidate slots and aggregate
+/// the per-candidate pruning counters.
+PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates) {
+  PortfolioResult result;
+  result.candidates = std::move(candidates);
+  for (const CandidateOutcome& c : result.candidates) {
+    if (c.state == CandidateState::Certified) {
+      // A later candidate must improve by more than the tie tolerance to
+      // displace the incumbent winner: exact ties AND sub-tolerance dust
+      // stay on the earlier (cheaper) strategy, which makes the winner
+      // independent of completion order, thread count, and whether a
+      // pruning cut stopped a candidate that could only tie.
+      if (c.period < result.period * (1.0 - kWinnerTieTol)) {
+        result.period = c.period;
+        result.winner = c.strategy;
+        result.ok = true;
+      }
+    } else if (c.state == CandidateState::Skipped) {
+      if (c.skip_reason == SkipReason::Dominated) {
+        ++result.pruning.strategies_pruned;
+      } else if (c.skip_reason == SkipReason::EarlyWin) {
+        ++result.pruning.early_win_cancels;
+      }
+    }
+    result.pruning.probes_skipped += c.prune.probes_skipped;
+  }
+  return result;
 }
 
 }  // namespace
@@ -44,7 +133,6 @@ struct EngineGroup {
   std::vector<std::vector<std::size_t>> stages;  ///< slot indices per stage
   std::size_t next_stage = 0;       ///< only touched by the stage owner
   std::atomic<std::size_t> stage_remaining{0};
-  IncumbentSnapshot view;           ///< frozen at each stage start
   std::vector<StrategyEnv> envs;    ///< per slot, refreshed per stage
   bool lb_probe_pending = false;    ///< stage 0 carries the LB probe task
   long long lb_probe_iterations = 0;
@@ -293,13 +381,24 @@ SolveTicket PortfolioEngine::submit_batch(
                                                group->strategies.size());
     }
 
-    // Stage plan (shared with solve_portfolio): Deterministic races stage
-    // by stage behind barriers; Off/Aggressive keep the flat fan-out.
-    group->stages = plan_stages(group->strategies, group->options.pruning);
-    if (group->options.pruning != PruningPolicy::Off) {
-      group->lb_probe_pending = true;
-      if (group->options.known_lower_bound > 0.0) {
-        group->incumbent.publish_lower_bound(group->options.known_lower_bound);
+    if (!p.feasible()) {
+      // No strategy can reach every target: fail them all without racing.
+      // The empty stage plan makes dispatch deliver the group at once.
+      for (std::size_t s = 0; s < group->strategies.size(); ++s) {
+        group->outcomes[s].strategy = group->strategies[s];
+        group->outcomes[s].state = CandidateState::Failed;
+        group->outcomes[s].detail = "infeasible instance: unreachable target";
+      }
+    } else {
+      // Stage plan: Deterministic races stage by stage behind barriers;
+      // Off keeps the flat fan-out.
+      group->stages = plan_stages(group->strategies, group->options.pruning);
+      if (group->options.pruning != PruningPolicy::Off) {
+        group->lb_probe_pending = true;
+        if (group->options.known_lower_bound > 0.0) {
+          group->incumbent.publish_lower_bound(
+              group->options.known_lower_bound);
+        }
       }
     }
     group_of_key.emplace(key, group.get());
@@ -318,7 +417,11 @@ SolveTicket PortfolioEngine::submit_batch(
                      return a->priority > b->priority;
                    });
   for (EngineGroup* group : dispatch) {
-    dispatch_stage(state, group);
+    if (group->stages.empty()) {
+      state->finish_group(*group);  // infeasible: nothing to race
+    } else {
+      dispatch_stage(state, group);
+    }
   }
   return SolveTicket(state);
 }
@@ -327,9 +430,16 @@ void PortfolioEngine::dispatch_stage(
     std::shared_ptr<detail::EngineBatchState> state,
     detail::EngineGroup* group) {
   const std::vector<std::size_t>& stage = group->stages[group->next_stage];
-  group->view = group->incumbent.freeze();
-  prepare_stage_envs(stage, group->options.pruning, group->incumbent,
-                     group->view, group->envs, group->tracer.get());
+  // Every strategy of the stage decides on the same barrier-fenced
+  // snapshot; Off races without an incumbent.
+  const IncumbentSnapshot view = group->incumbent.freeze();
+  Incumbent* shared = group->options.pruning != PruningPolicy::Off
+                          ? &group->incumbent
+                          : nullptr;
+  for (std::size_t s : stage) {
+    group->envs[s] = StrategyEnv{shared, view, static_cast<int>(s),
+                                 group->tracer.get()};
+  }
   const bool with_lb_probe = group->lb_probe_pending;
   group->lb_probe_pending = false;
   group->stage_remaining.store(stage.size() + (with_lb_probe ? 1 : 0),
@@ -364,10 +474,14 @@ void PortfolioEngine::complete_stage_task(
   // Stage owner: everything in the stage (and every earlier stage) is
   // visible. Re-publish certified bounds behind the barrier so a
   // certification that raced the LB probe gets its early-win signal
-  // honoured.
+  // honoured (monotone, hence idempotent).
   if (group->options.pruning == PruningPolicy::Deterministic) {
-    republish_stage(group->stages[group->next_stage], group->outcomes,
-                    group->incumbent);
+    for (std::size_t s : group->stages[group->next_stage]) {
+      const CandidateOutcome& out = group->outcomes[s];
+      if (out.state == CandidateState::Certified) {
+        group->incumbent.publish_certified(out.period, static_cast<int>(s));
+      }
+    }
   }
   ++group->next_stage;
   if (group->next_stage < group->stages.size()) {
@@ -392,6 +506,19 @@ std::vector<PortfolioResult> PortfolioEngine::solve_batch(
     std::span<const core::MulticastProblem> problems,
     std::span<const RequestOptions> requests) {
   return submit_batch(problems, requests).take_all();
+}
+
+PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
+                                const PortfolioOptions& options,
+                                CancellationToken cancel) {
+  EngineOptions engine_options;
+  engine_options.threads = 0;  // inline on the caller
+  engine_options.cache_capacity = 0;
+  engine_options.portfolio = options;
+  PortfolioEngine engine(std::move(engine_options));
+  RequestOptions request;
+  request.cancel = std::move(cancel);
+  return engine.solve(problem, request);
 }
 
 }  // namespace pmcast::runtime

@@ -4,7 +4,9 @@
 /// work-stealing pool and the LRU result cache and exposes an async-first
 /// submission surface — submit_batch() streams each request's result
 /// through a callback as it certifies — plus blocking
-/// solve()/solve_batch() conveniences layered on top.
+/// solve()/solve_batch() conveniences layered on top. It is the one driver
+/// of the portfolio race: solve_portfolio() below is a blocking call on an
+/// inline, cache-less engine.
 ///
 /// A batch is served in four steps:
 ///  1. *Cache lookup* — every request's canonical instance key
@@ -69,10 +71,7 @@ struct EngineOptions {
 };
 
 /// Per-request knobs layered on top of EngineOptions::portfolio. This is
-/// the runtime mirror of the facade's pmcast::SolveRequest; the previous
-/// free-standing deadline_ms member was removed in favour of the one
-/// budget carrier (deprecated: RequestOptions::deadline_ms — use
-/// budget.deadline_ms, which also folds in the exact-solver limits).
+/// the runtime mirror of the facade's pmcast::SolveRequest.
 struct RequestOptions {
   /// Sentinel-aware budget merged over the engine default: deadline_ms 0,
   /// exact_max_nodes < 0 and exact_max_trees 0 each inherit. Careful:
@@ -195,5 +194,13 @@ class PortfolioEngine {
   TraceSummary trace_;
   ThreadPool pool_;
 };
+
+/// Race the portfolio once on the calling thread (a PortfolioEngine with
+/// no workers and no cache) and return when every strategy has finished
+/// or been skipped. An instance with an unreachable target fails every
+/// strategy without racing.
+PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
+                                const PortfolioOptions& options = {},
+                                CancellationToken cancel = {});
 
 }  // namespace pmcast::runtime

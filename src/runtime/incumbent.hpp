@@ -22,10 +22,7 @@
 /// commutative, so a snapshot taken after a *completion barrier* is a pure
 /// function of which strategies ran — independent of thread interleaving.
 /// That is the whole determinism argument of PruningPolicy::Deterministic:
-/// reads happen only at stage boundaries, behind a barrier. Aggressive
-/// reads live values between and inside solves; decisions then depend on
-/// timing, but every predicate is still *sound*, so only which losers get
-/// cut can vary — never the certified winner's period.
+/// reads happen only at stage boundaries, behind a barrier.
 
 #include <atomic>
 #include <cstdint>
@@ -36,24 +33,12 @@ namespace pmcast::runtime {
 
 /// How the portfolio may use cross-strategy information to cut work.
 enum class PruningPolicy {
-  Off,            ///< blind-to-completion: run everything (pre-PR5 behaviour)
+  Off,            ///< blind-to-completion: run everything
   Deterministic,  ///< staged race; pruning reads only barrier-fenced
                   ///< snapshots, so every candidate outcome is bit-identical
                   ///< across thread counts and identical to Off for the
                   ///< winner and period
-  Aggressive,     ///< additionally read live incumbents mid-flight; which
-                  ///< losers get pruned may vary run to run, the certified
-                  ///< winner's period never does
 };
-
-inline const char* pruning_policy_name(PruningPolicy policy) {
-  switch (policy) {
-    case PruningPolicy::Off: return "off";
-    case PruningPolicy::Deterministic: return "deterministic";
-    case PruningPolicy::Aggressive: return "aggressive";
-  }
-  return "?";
-}
 
 /// Barrier-fenced copy of an Incumbent (see Incumbent::freeze()).
 struct IncumbentSnapshot {

@@ -27,15 +27,6 @@ using core::MulticastProblem;
 /// `incumbent < scatter_ub * (1 - margin)` still proves strict dominance.
 constexpr double kDominanceMargin = 1e-4;
 
-/// Two certified periods within this *relative* distance are a tie, broken
-/// on launch order. This is the certification pipeline's own numeric
-/// tolerance: two candidates evaluating the same optimum can disagree by
-/// floating dust (observed ~1e-15 relative between an LP-derived bound and
-/// a schedule-derived period), and letting such dust pick the winner makes
-/// the result depend on whether a pruning cut stopped the later candidate —
-/// exactly the Det-vs-Off divergence the differential suite forbids.
-constexpr double kWinnerTieTol = 1e-9;
-
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -64,12 +55,6 @@ bool early_win_cuts(const IncumbentSnapshot& snap, int launch_index) {
 bool scatter_bound_cuts(const IncumbentSnapshot& snap) {
   return snap.scatter_ub < kInfinity &&
          snap.best_certified < snap.scatter_ub * (1.0 - kDominanceMargin);
-}
-
-/// The decision basis for a pruning predicate: the barrier-fenced stage
-/// snapshot under Deterministic, a live re-read under Aggressive.
-IncumbentSnapshot pruning_view(const StrategyEnv& env) {
-  return env.live && env.shared != nullptr ? env.shared->freeze() : env.view;
 }
 
 /// Which timeline event a finished strategy maps to.
@@ -135,24 +120,16 @@ void certify_tree(const MulticastProblem& problem,
   out.period = 1.0 / cert.throughput;
 }
 
-/// Fill a Skipped outcome for a solve the checkpoints interrupted.
-/// Only a Cutoff verdict counts as a pruning cutoff_abort; a deadline or
-/// cancellation abort is a budget event, not pruning activity.
-void mark_interrupted(CandidateOutcome& out, const BudgetGuard& guard,
-                      bool was_cutoff, SkipReason cut_reason) {
+/// Fill a Skipped outcome for a strategy a deadline or a cancellation
+/// stopped \p where ("mid-solve" or "mid-heuristic").
+void mark_budget_stop(CandidateOutcome& out, const BudgetGuard& guard,
+                      const char* where) {
+  const bool cancelled = guard.cancelled();
   out.state = CandidateState::Skipped;
-  if (was_cutoff) {
-    ++out.prune.cutoff_aborts;
-    out.skip_reason = cut_reason;
-    out.detail = cut_reason == SkipReason::EarlyWin
-                     ? "stopped mid-solve: incumbent met the proven LB"
-                     : "stopped mid-solve: dominated by the incumbent";
-  } else {
-    out.skip_reason =
-        guard.cancelled() ? SkipReason::Cancelled : SkipReason::DeadlineExpired;
-    out.detail = guard.cancelled() ? "cancelled mid-solve"
-                                   : "deadline expired mid-solve";
-  }
+  out.skip_reason =
+      cancelled ? SkipReason::Cancelled : SkipReason::DeadlineExpired;
+  out.detail = std::string(cancelled ? "cancelled " : "deadline expired ") +
+               where;
 }
 
 /// Certify a scatter (Multicast-UB style) solution by reconstructing its
@@ -192,8 +169,7 @@ void certify_flow(const MulticastProblem& problem,
 void certify_platform(const MulticastProblem& problem,
                       const core::PlatformHeuristicResult& result,
                       const core::FormulationOptions& lp_options,
-                      const BudgetGuard& guard,
-                      const SkipReason* cut_reason, CandidateOutcome& out) {
+                      const BudgetGuard& guard, CandidateOutcome& out) {
   out.bound_period = result.period;
   if (!result.ok) {
     out.state = CandidateState::Failed;
@@ -229,10 +205,7 @@ void certify_platform(const MulticastProblem& problem,
   if (lp::is_interrupted(ub.status)) {
     out.lp.solves += 1;
     out.lp.iterations += ub.iterations;
-    mark_interrupted(out, guard, ub.status == lp::SolveStatus::CutoffReached,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
-    out.bound_period = result.period;
+    mark_budget_stop(out, guard, "mid-solve");
     return;
   }
   certify_flow(sub_problem, ub, out);
@@ -253,22 +226,17 @@ void certify_platform(const MulticastProblem& problem,
 void run_exact_colgen(const MulticastProblem& problem,
                       const PortfolioOptions& options,
                       const BudgetGuard& guard,
-                      const std::function<bool()>& should_abort,
                       const std::function<lp::CheckpointAction()>& checkpoint,
-                      const SkipReason* cut_reason, CandidateOutcome& out) {
+                      CandidateOutcome& out) {
   core::ColumnGenLimits limits;
-  limits.should_abort = should_abort;
+  limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution cg = core::column_generation_throughput(problem, limits);
   out.lp.merge(cg.lp);
   // A budget stop with a usable anytime combination still certifies below;
-  // only a pruning cutoff (the incumbent dominates) or an abort before the
-  // first optimal master lands here.
-  if (cg.cutoff || (cg.aborted && !(cg.ok && cg.throughput > 0.0))) {
-    bool was_cut = cg.cutoff || !guard.expired();
-    mark_interrupted(out, guard, was_cut,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
+  // only an abort before the first optimal master lands here.
+  if (cg.aborted && !(cg.ok && cg.throughput > 0.0)) {
+    mark_budget_stop(out, guard, "mid-solve");
     return;
   }
   if (!cg.ok || cg.throughput <= 0.0) {
@@ -296,9 +264,8 @@ void run_exact_colgen(const MulticastProblem& problem,
 
 void run_exact(const MulticastProblem& problem,
                const PortfolioOptions& options, const BudgetGuard& guard,
-               const std::function<bool()>& should_abort,
                const std::function<lp::CheckpointAction()>& checkpoint,
-               const SkipReason* cut_reason, CandidateOutcome& out) {
+               CandidateOutcome& out) {
   // Guard against sentinel-valued budgets (SolveBudget::inherit()) that
   // reach a solve without being resolve()d against engine defaults:
   // "inherit" must never mean "skip everything" / "enumerate nothing".
@@ -317,8 +284,7 @@ void run_exact(const MulticastProblem& problem,
                                ? options.budget.colgen_max_nodes
                                : defaults.colgen_max_nodes;
     if (problem.graph.node_count() <= colgen_max) {
-      run_exact_colgen(problem, options, guard, should_abort, checkpoint,
-                       cut_reason, out);
+      run_exact_colgen(problem, options, guard, checkpoint, out);
       return;
     }
     out.state = CandidateState::Skipped;
@@ -328,18 +294,13 @@ void run_exact(const MulticastProblem& problem,
   }
   core::EnumerationLimits limits;
   limits.max_trees = max_trees;
-  limits.should_abort = should_abort;
+  limits.should_abort = [&guard] { return guard.expired(); };
   limits.solver.checkpoint = checkpoint;
   core::ExactSolution exact = core::exact_optimal_throughput(problem, limits);
   out.lp.solves += exact.lp_iterations > 0 ? 1 : 0;
   out.lp.iterations += exact.lp_iterations;
-  if (exact.aborted || exact.cutoff) {
-    // The abort hook fires for budget *and* (Aggressive) early-win cuts;
-    // tell them apart the same way the LP checkpoints do.
-    bool was_cut = exact.cutoff || !guard.expired();
-    mark_interrupted(out, guard, was_cut,
-                     cut_reason != nullptr ? *cut_reason
-                                           : SkipReason::Dominated);
+  if (exact.aborted) {
+    mark_budget_stop(out, guard, "mid-solve");
     return;
   }
   if (!exact.ok) {
@@ -405,12 +366,12 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
     return out;
   }
 
-  // --- start-of-strategy pruning checks (policy-gated) --------------------
-  const bool pruning = env != nullptr && env->shared != nullptr &&
-                       env->policy != PruningPolicy::Off;
-  if (pruning) {
-    IncumbentSnapshot snap = pruning_view(*env);
-    const bool early_win = early_win_cuts(snap, env->launch_index);
+  // --- start-of-strategy pruning checks (null `shared` = pruning off) -----
+  Incumbent* shared = env != nullptr ? env->shared : nullptr;
+  const int launch_index = env != nullptr ? env->launch_index : 0;
+  if (shared != nullptr) {
+    const IncumbentSnapshot& snap = env->view;
+    const bool early_win = early_win_cuts(snap, launch_index);
     if (tracer != nullptr) {
       // Miss margin: how far the incumbent still is from the proven LB
       // (infinite while either side is missing).
@@ -445,106 +406,41 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
   }
 
   // --- cooperative hooks shared by every solve of this strategy -----------
-  // cut_reason records *why* a Cutoff verdict fired so the outcome can
-  // report Dominated vs EarlyWin; only the lambdas below write it.
-  auto cut_reason = std::make_shared<SkipReason>(SkipReason::Dominated);
-  const bool live = pruning && env->live;
-  Incumbent* shared = pruning ? env->shared : nullptr;
-  const int launch_index = env != nullptr ? env->launch_index : 0;
-
-  // Live dominance re-check (Aggressive): between probes and at solver
-  // checkpoints. Returns true when this strategy provably cannot win.
-  auto dominated_now = [shared, live, launch_index, strategy, cut_reason,
-                        tracer]() -> bool {
-    if (!live) return false;
-    IncumbentSnapshot snap = shared->freeze();
-    if (early_win_cuts(snap, launch_index)) {
-      *cut_reason = SkipReason::EarlyWin;
-      if (tracer != nullptr) {
-        tracer->predicate(CutPredicate::ProbePoll, true, 0.0);
-      }
-      return true;
-    }
-    if (certifies_via_sub_scatter(strategy) && scatter_bound_cuts(snap)) {
-      *cut_reason = SkipReason::Dominated;
-      if (tracer != nullptr) {
-        tracer->predicate(CutPredicate::ProbePoll, true, 0.0);
-      }
-      return true;
-    }
-    if (tracer != nullptr) {
-      tracer->predicate(CutPredicate::ProbePoll, false,
-                        snap.proven_lb > 0.0
-                            ? snap.best_certified - snap.proven_lb
-                            : kInfinity);
-    }
-    return false;
-  };
-
-  // Checkpoint-gap measurement (and the FirstLpCheckpoint event) for the
-  // latency histogram; heap-free unless tracing is on.
-  std::shared_ptr<CheckpointProbe> probe;
-  if (tracer != nullptr && tracer->enabled()) {
-    probe = std::make_shared<CheckpointProbe>();
-  }
-  auto checkpoint = [&guard, dominated_now, tracer, probe, launch_index,
-                     strategy]() -> lp::CheckpointAction {
-    record_checkpoint(tracer, probe.get(), launch_index,
-                      static_cast<std::uint8_t>(strategy));
-    if (guard.expired()) return lp::CheckpointAction::Abort;
-    if (dominated_now()) return lp::CheckpointAction::Cutoff;
-    return lp::CheckpointAction::Continue;
-  };
-  auto should_abort = [&guard]() { return guard.expired(); };
-
+  auto checkpoint = budget_checkpoint(guard, tracer, launch_index,
+                                      static_cast<std::uint8_t>(strategy));
   core::FormulationOptions lp_options;
   lp_options.solver.checkpoint = checkpoint;
   core::HeuristicOptions heuristic_options;
   heuristic_options.lp = lp_options;
-  heuristic_options.control.should_abort = should_abort;
-  heuristic_options.control.dominated = dominated_now;
-  if (pruning) {
+  heuristic_options.control.should_abort = [&guard] {
+    return guard.expired();
+  };
+  if (shared != nullptr) {
     // LB-convergence cut for the greedy descents: once the heuristic's
     // current accepted period meets the proven lower bound, no remaining
     // probe can be accepted (acceptance is strict improvement, achievable
     // periods are >= the bound), so the rest of the descent is skipped.
-    // Under Deterministic the view is the barrier-fenced stage snapshot
-    // and the trajectory is a pure function of the instance, so the cut
-    // fires identically across thread counts.
-    const StrategyEnv* env_ptr = env;
-    heuristic_options.control.converged = [env_ptr,
+    // The view is the barrier-fenced stage snapshot and the trajectory is
+    // a pure function of the instance, so the cut fires identically
+    // across thread counts.
+    const double proven_lb = env->view.proven_lb;
+    heuristic_options.control.converged = [proven_lb,
                                            tracer](double current) -> bool {
-      IncumbentSnapshot snap = pruning_view(*env_ptr);
-      const bool hit = snap.proven_lb > 0.0 && current <= snap.proven_lb;
+      const bool hit = proven_lb > 0.0 && current <= proven_lb;
       if (tracer != nullptr) {
         tracer->predicate(CutPredicate::ProbePoll, hit,
-                          snap.proven_lb > 0.0 ? current - snap.proven_lb
-                                               : kInfinity);
+                          proven_lb > 0.0 ? current - proven_lb : kInfinity);
       }
       return hit;
     };
   }
 
-  // Map a heuristic's abort/prune flags onto the outcome. Returns true
-  // when the strategy was interrupted and must not be certified.
-  auto finish_heuristic = [&](bool aborted, bool pruned, int probes_skipped,
-                              int cutoff_aborts) {
+  // Map a heuristic's abort flag onto the outcome. Returns true when the
+  // strategy was interrupted and must not be certified.
+  auto finish_heuristic = [&](bool aborted, int probes_skipped) {
     out.prune.probes_skipped += probes_skipped;
-    out.prune.cutoff_aborts += cutoff_aborts;
-    if (!aborted && !pruned) return false;
-    out.state = CandidateState::Skipped;
-    if (aborted) {
-      out.skip_reason = guard.cancelled() ? SkipReason::Cancelled
-                                          : SkipReason::DeadlineExpired;
-      out.detail = guard.cancelled() ? "cancelled mid-heuristic"
-                                     : "deadline expired mid-heuristic";
-    } else {
-      out.skip_reason = *cut_reason;
-      out.detail = *cut_reason == SkipReason::EarlyWin
-                       ? "pruned mid-heuristic: incumbent met the proven LB"
-                       : "pruned mid-heuristic: dominated by the incumbent";
-    }
-    return true;
+    if (aborted) mark_budget_stop(out, guard, "mid-heuristic");
+    return aborted;
   };
 
   Clock::time_point start = Clock::now();
@@ -571,22 +467,17 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
         out.lp.iterations += ub.iterations;
         // bound_period keeps its "no bound" default: an interrupted solve
         // never assigned ub.period, which still holds FlowSolution's 0.0.
-        mark_interrupted(out, guard,
-                         ub.status == lp::SolveStatus::CutoffReached,
-                         *cut_reason);
+        mark_budget_stop(out, guard, "mid-solve");
         break;
       }
-      if (ub.ok() && shared != nullptr) {
+      if (shared != nullptr && ub.ok()) {
         // The full-platform scatter LP value: the dominance reference for
-        // the sub-scatter strategies. Published before certification so an
-        // Aggressive race benefits as early as possible.
+        // the sub-scatter strategies of the next stage.
         shared->publish_scatter_ub(ub.period);
-      }
-      if (pruning && ub.ok()) {
         // The certified value equals the LP value up to rationalisation
         // dust, so an incumbent strictly below the margined bound makes
         // the schedule reconstruction pointless.
-        IncumbentSnapshot snap = pruning_view(*env);
+        const IncumbentSnapshot& snap = env->view;
         const double threshold = ub.period * (1.0 - kDominanceMargin);
         const bool cut = snap.best_certified < threshold;
         if (tracer != nullptr) {
@@ -611,10 +502,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       auto as = core::augmented_sources(problem, heuristic_options);
       out.bound_period = as.period;
       out.lp.merge(as.lp_stats);
-      if (finish_heuristic(as.aborted, as.pruned, as.probes_skipped,
-                           as.cutoff_aborts)) {
-        break;
-      }
+      if (finish_heuristic(as.aborted, as.probes_skipped)) break;
       if (!as.ok) {
         out.state = CandidateState::Failed;
         out.detail = "augmented_sources failed";
@@ -638,37 +526,22 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       out.period = fs.period;
       break;
     }
-    case Strategy::ReducedBroadcast: {
-      auto rb = core::reduced_broadcast(problem, heuristic_options);
-      out.lp.merge(rb.lp_stats);
-      if (finish_heuristic(rb.aborted, rb.pruned, rb.probes_skipped,
-                           rb.cutoff_aborts)) {
-        out.bound_period = rb.period;
-        break;
-      }
-      certify_platform(problem, rb, lp_options, guard, cut_reason.get(), out);
-      break;
-    }
+    case Strategy::ReducedBroadcast:
     case Strategy::AugmentedMulticast: {
-      auto am = core::augmented_multicast(problem, heuristic_options);
-      out.lp.merge(am.lp_stats);
-      if (finish_heuristic(am.aborted, am.pruned, am.probes_skipped,
-                           am.cutoff_aborts)) {
-        out.bound_period = am.period;
+      auto platform = strategy == Strategy::ReducedBroadcast
+                          ? core::reduced_broadcast(problem, heuristic_options)
+                          : core::augmented_multicast(problem,
+                                                      heuristic_options);
+      out.lp.merge(platform.lp_stats);
+      if (finish_heuristic(platform.aborted, platform.probes_skipped)) {
+        out.bound_period = platform.period;
         break;
       }
-      certify_platform(problem, am, lp_options, guard, cut_reason.get(), out);
+      certify_platform(problem, platform, lp_options, guard, out);
       break;
     }
     case Strategy::Exact:
-      run_exact(problem, options, guard,
-                [&guard, dominated_now, cut_reason]() {
-                  // The enumerator has no Cutoff channel of its own; the
-                  // shared cut_reason (set by dominated_now) tells the
-                  // classifier which event stopped it.
-                  return guard.expired() || dominated_now();
-                },
-                checkpoint, cut_reason.get(), out);
+      run_exact(problem, options, guard, checkpoint, out);
       break;
   }
   out.elapsed_ms = ms_since(start);
@@ -723,196 +596,20 @@ int strategy_stage(Strategy strategy) {
   return 2;
 }
 
-PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates) {
-  PortfolioResult result;
-  result.candidates = std::move(candidates);
-  for (const CandidateOutcome& c : result.candidates) {
-    if (c.state == CandidateState::Certified) {
-      // A later candidate must improve by more than the tie tolerance to
-      // displace the incumbent winner: exact ties AND sub-tolerance dust
-      // stay on the earlier (cheaper) strategy, which makes the winner
-      // independent of completion order, thread count, and whether a
-      // pruning cut stopped a candidate that could only tie.
-      if (c.period < result.period * (1.0 - kWinnerTieTol)) {
-        result.period = c.period;
-        result.winner = c.strategy;
-        result.ok = true;
-      }
-    } else if (c.state == CandidateState::Skipped) {
-      if (c.skip_reason == SkipReason::Dominated) {
-        ++result.pruning.strategies_pruned;
-      } else if (c.skip_reason == SkipReason::EarlyWin) {
-        ++result.pruning.early_win_cancels;
-      }
-    }
-    result.pruning.probes_skipped += c.prune.probes_skipped;
-    result.pruning.cutoff_aborts += c.prune.cutoff_aborts;
-  }
-  return result;
-}
-
-std::vector<std::vector<std::size_t>> plan_stages(
-    const std::vector<Strategy>& strategies, PruningPolicy policy) {
-  std::vector<std::vector<std::size_t>> stages;
-  if (policy == PruningPolicy::Deterministic) {
-    stages.assign(3, {});
-    for (std::size_t i = 0; i < strategies.size(); ++i) {
-      stages[static_cast<std::size_t>(strategy_stage(strategies[i]))]
-          .push_back(i);
-    }
-    std::erase_if(stages, [](const auto& s) { return s.empty(); });
-  } else {
-    stages.emplace_back(strategies.size());
-    for (std::size_t i = 0; i < strategies.size(); ++i) stages[0][i] = i;
-  }
-  return stages;
-}
-
-long long run_lb_probe(const MulticastProblem& problem,
-                       const BudgetGuard& guard, Incumbent& incumbent,
-                       Tracer* tracer) {
-  core::FormulationOptions lp_options;
+std::function<lp::CheckpointAction()> budget_checkpoint(
+    const BudgetGuard& guard, Tracer* tracer, int slot,
+    std::uint8_t strategy) {
+  // Checkpoint-gap measurement (and the FirstLpCheckpoint event) for the
+  // latency histogram; heap-free unless tracing is on.
   std::shared_ptr<CheckpointProbe> probe;
   if (tracer != nullptr && tracer->enabled()) {
     probe = std::make_shared<CheckpointProbe>();
   }
-  lp_options.solver.checkpoint = [&guard, tracer,
-                                  probe]() -> lp::CheckpointAction {
-    if (probe != nullptr) {
-      // The LB probe has no strategy slot; it only feeds the latency
-      // histogram (slot -1 makes the event a no-op).
-      record_checkpoint(tracer, probe.get(), /*slot=*/-1, /*strategy=*/0xFF);
-    }
+  return [&guard, tracer, probe, slot, strategy]() -> lp::CheckpointAction {
+    record_checkpoint(tracer, probe.get(), slot, strategy);
     return guard.expired() ? lp::CheckpointAction::Abort
                            : lp::CheckpointAction::Continue;
   };
-  core::FlowSolution lb = core::solve_multicast_lb(problem, lp_options);
-  if (lb.ok()) {
-    // Publish the LP value as reported. An earlier revision deflated it by
-    // 1e-7 to guard against the simplex overshooting the true optimum by
-    // tolerance dust — but certified periods are *achievable*, hence >=
-    // the true lower bound, so the deflation made "certified <= proven_lb"
-    // (the early-win predicate) unsatisfiable on every instance: the cut
-    // was dead code, confirmed by the tracer's miss margins clustering at
-    // exactly lb * 1e-7. Overshoot dust is bounded by fp rounding of the
-    // objective evaluation (~1e-13 relative), far below the 1e-9
-    // acceptance tolerance the heuristics use, and the differential suite
-    // (Deterministic vs Off bit-identity on the golden corpus) guards the
-    // soundness empirically.
-    incumbent.publish_lower_bound(lb.period);
-  }
-  return lb.iterations;
-}
-
-void prepare_stage_envs(const std::vector<std::size_t>& stage,
-                        PruningPolicy policy, Incumbent& incumbent,
-                        const IncumbentSnapshot& view,
-                        std::vector<StrategyEnv>& envs, Tracer* tracer) {
-  for (std::size_t s : stage) {
-    StrategyEnv& env = envs[s];
-    env.shared = policy != PruningPolicy::Off ? &incumbent : nullptr;
-    env.view = view;
-    env.live = policy == PruningPolicy::Aggressive;
-    env.policy = policy;
-    env.launch_index = static_cast<int>(s);
-    env.tracer = tracer != nullptr && tracer->enabled() ? tracer : nullptr;
-  }
-}
-
-void republish_stage(const std::vector<std::size_t>& stage,
-                     const std::vector<CandidateOutcome>& outcomes,
-                     Incumbent& incumbent) {
-  for (std::size_t s : stage) {
-    if (outcomes[s].state == CandidateState::Certified) {
-      incumbent.publish_certified(outcomes[s].period, static_cast<int>(s));
-    }
-  }
-}
-
-PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
-                                const PortfolioOptions& options,
-                                ThreadPool* pool, CancellationToken cancel) {
-  Clock::time_point start = Clock::now();
-  BudgetGuard guard;
-  guard.deadline = options.budget.deadline_from(start);
-  guard.cancel = cancel;
-  std::vector<Strategy> strategies =
-      options.strategies.empty() ? all_strategies() : options.strategies;
-
-  std::vector<CandidateOutcome> outcomes(strategies.size());
-  if (!problem.feasible()) {
-    for (size_t i = 0; i < strategies.size(); ++i) {
-      outcomes[i].strategy = strategies[i];
-      outcomes[i].state = CandidateState::Failed;
-      outcomes[i].detail = "infeasible instance: unreachable target";
-    }
-    PortfolioResult result = assemble_result(std::move(outcomes));
-    result.elapsed_ms = ms_since(start);
-    return result;
-  }
-
-  const PruningPolicy policy = options.pruning;
-  Incumbent incumbent;
-  long long lb_probe_iterations = 0;
-  if (policy != PruningPolicy::Off && options.known_lower_bound > 0.0) {
-    incumbent.publish_lower_bound(options.known_lower_bound);
-  }
-
-  // Stage plan: Off/Aggressive run one flat stage (the blind fan-out);
-  // Deterministic runs the three launch stages with a barrier after each,
-  // so every pruning decision reads a snapshot that depends only on which
-  // strategies ran before it — never on timing or thread count.
-  std::vector<std::vector<size_t>> stages = plan_stages(strategies, policy);
-
-  // The race-wide tracer lives on this frame; Counters detail allocates
-  // nothing, Timeline sizes one event buffer per strategy slot.
-  Tracer tracer(options.trace, strategies.size());
-
-  std::vector<StrategyEnv> envs(strategies.size());
-  bool lb_probe_pending = policy != PruningPolicy::Off;
-  for (const auto& stage : stages) {
-    IncumbentSnapshot view = incumbent.freeze();
-    prepare_stage_envs(stage, policy, incumbent, view, envs, &tracer);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(stage.size() + 1);
-    if (lb_probe_pending) {
-      // The LB probe rides along with the first stage (trees for the
-      // deterministic plan), so its bound is in every later snapshot —
-      // and it goes FIRST: under Aggressive (no barrier re-publish) a
-      // certification that lands before the bound can never raise the
-      // early-win signal, so the inline/1-thread orders matter.
-      lb_probe_pending = false;
-      tasks.push_back([&] {
-        lb_probe_iterations += run_lb_probe(problem, guard, incumbent,
-                                            &tracer);
-      });
-    }
-    for (size_t i : stage) {
-      tasks.push_back([&, i] {
-        outcomes[i] =
-            run_strategy(problem, strategies[i], options, guard, &envs[i]);
-      });
-    }
-
-    if (pool == nullptr) {
-      for (auto& task : tasks) task();
-    } else {
-      pool->run_all(std::move(tasks));
-    }
-
-    if (policy == PruningPolicy::Deterministic) {
-      // Re-publish behind the barrier: a strategy that certified before
-      // the LB probe landed gets its early-win signal honoured now.
-      republish_stage(stage, outcomes, incumbent);
-    }
-  }
-
-  PortfolioResult result = assemble_result(std::move(outcomes));
-  result.pruning.lb_probe_iterations = lb_probe_iterations;
-  result.pruning.proven_lb = incumbent.proven_lb();
-  result.trace = tracer.summary();
-  result.elapsed_ms = ms_since(start);
-  return result;
 }
 
 }  // namespace pmcast::runtime

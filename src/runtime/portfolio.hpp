@@ -27,14 +27,20 @@
 /// Cooperative pruning (PruningPolicy, runtime/incumbent.hpp): the race
 /// shares incumbent bounds so provably-dominated work is cut — the
 /// platform heuristics are skipped once a cheaper candidate beats the
-/// full-platform scatter bound, every strategy stops once a certified
-/// candidate meets the proven Multicast-LB lower bound, and deadlines
-/// interrupt LP solves mid-flight through the simplex checkpoint hook.
-/// Every cut is sound (the pruned work provably could not have changed
-/// the winner or its period); Deterministic additionally stages the race
-/// behind barriers so even the per-candidate outcomes are bit-identical
-/// across thread counts.
+/// full-platform scatter bound, and every strategy stops once a certified
+/// candidate meets the proven Multicast-LB lower bound. Every cut is sound
+/// (the pruned work provably could not have changed the winner or its
+/// period), and PruningPolicy::Deterministic stages the race behind
+/// barriers so even the per-candidate outcomes are bit-identical across
+/// thread counts.
+/// Deadlines interrupt LP solves mid-flight through the simplex
+/// checkpoint hook.
+///
+/// The race itself is driven by PortfolioEngine (engine.hpp); this header
+/// holds its vocabulary and the one-strategy step it fans out.
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,7 +48,6 @@
 #include "lp/resolve.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/incumbent.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
 
 namespace pmcast::runtime {
@@ -75,8 +80,6 @@ enum class CandidateState {
 /// facade's Status classification) never have to match detail strings.
 enum class SkipReason {
   NotSkipped = 0,
-  Budget,            ///< unspecified budget event (kept for compatibility;
-                     ///< new code reports DeadlineExpired / Cancelled)
   Inapplicable,      ///< strategy doesn't apply (instance above exact size)
   EnumerationLimit,  ///< exact solver hit its tree-enumeration cap
   DeadlineExpired,   ///< wall-clock deadline hit, possibly mid-LP-solve
@@ -92,8 +95,7 @@ inline bool is_pruned(SkipReason reason) {
 
 /// Per-candidate cooperative-pruning counters.
 struct PruneCounters {
-  int probes_skipped = 0;  ///< heuristic probes not run (dominance/early-win)
-  int cutoff_aborts = 0;   ///< LP solves stopped mid-flight by a checkpoint
+  int probes_skipped = 0;  ///< heuristic probes not run (LB convergence)
 };
 
 struct CandidateOutcome {
@@ -134,7 +136,6 @@ struct PruningSummary {
   int strategies_pruned = 0;   ///< candidates skipped as Dominated
   int early_win_cancels = 0;   ///< candidates skipped/stopped as EarlyWin
   int probes_skipped = 0;      ///< heuristic probes not run
-  int cutoff_aborts = 0;       ///< LP solves stopped by a cutoff checkpoint
   long long lb_probe_iterations = 0;  ///< simplex iterations spent proving
                                       ///< the Multicast-LB lower bound
   double proven_lb = 0.0;      ///< best proven lower bound (0 = none)
@@ -155,15 +156,12 @@ struct PortfolioResult {
 };
 
 /// The cooperative-pruning environment of one run_strategy call. `view` is
-/// the decision basis for start-of-strategy checks; with `live` set
-/// (Aggressive) predicates re-read `shared` between probes and at solver
-/// checkpoints. `shared` is also where a finishing strategy publishes its
-/// bounds; null disables pruning entirely (deadline checkpoints remain).
+/// the barrier-fenced snapshot every pruning predicate decides on;
+/// `shared` is where a finishing strategy publishes its bounds, and null
+/// disables pruning entirely (deadline checkpoints remain).
 struct StrategyEnv {
   Incumbent* shared = nullptr;
   IncumbentSnapshot view;
-  bool live = false;
-  PruningPolicy policy = PruningPolicy::Off;
   int launch_index = 0;
   /// Race-wide tracer (null or disabled = record nothing). Shared by all
   /// strategies of the race; each strategy owns its launch-index slot.
@@ -181,55 +179,20 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
                               const BudgetGuard& guard,
                               const StrategyEnv* env = nullptr);
 
+/// The simplex checkpoint hook of one strategy's LP solves (or, with
+/// \p slot -1, of the race's Multicast-LB probe): Abort once \p guard
+/// expires. With an enabled \p tracer it also feeds the checkpoint
+/// latency histogram and, once, the slot's FirstLpCheckpoint event.
+/// \p guard is captured by reference and must outlive the solves.
+std::function<lp::CheckpointAction()> budget_checkpoint(
+    const BudgetGuard& guard, Tracer* tracer, int slot,
+    std::uint8_t strategy);
+
 /// The deterministic launch stage of a strategy: 0 = tree heuristics,
 /// 1 = bound providers (Multicast-UB, exact), 2 = LP refinement
 /// heuristics. PruningPolicy::Deterministic runs the race stage by stage
 /// (a barrier between stages) so pruning decisions depend only on which
 /// strategies ran, never on timing.
 int strategy_stage(Strategy strategy);
-
-/// The stage plan for one race: indices into \p strategies, grouped by
-/// strategy_stage() with empty stages dropped under Deterministic, one
-/// flat stage under Off/Aggressive. Shared by solve_portfolio and the
-/// engine so the two orchestrators cannot drift (the differential suite
-/// compares their results).
-std::vector<std::vector<std::size_t>> plan_stages(
-    const std::vector<Strategy>& strategies, PruningPolicy policy);
-
-/// Solve Multicast-LB of \p problem (deadline-checkpointed through
-/// \p guard) and publish the value as \p incumbent's proven lower bound —
-/// the one extra LP a pruning race pays. Returns the simplex iterations
-/// spent.
-long long run_lb_probe(const core::MulticastProblem& problem,
-                       const BudgetGuard& guard, Incumbent& incumbent,
-                       Tracer* tracer = nullptr);
-
-/// Populate the StrategyEnv slots of one stage from a freshly frozen
-/// snapshot (\p envs is indexed by strategy slot, like the outcomes).
-/// Shared by solve_portfolio and the engine.
-void prepare_stage_envs(const std::vector<std::size_t>& stage,
-                        PruningPolicy policy, Incumbent& incumbent,
-                        const IncumbentSnapshot& view,
-                        std::vector<StrategyEnv>& envs,
-                        Tracer* tracer = nullptr);
-
-/// Barrier re-publish of a completed stage's certified outcomes into the
-/// incumbent, so a certification that raced the LB probe still raises its
-/// early-win signal. Monotone, hence idempotent; callers gate on
-/// PruningPolicy::Deterministic (Aggressive publishes live).
-void republish_stage(const std::vector<std::size_t>& stage,
-                     const std::vector<CandidateOutcome>& outcomes,
-                     Incumbent& incumbent);
-
-/// Pick winner/ok/period out of completed candidate slots and aggregate
-/// the per-candidate pruning counters.
-PortfolioResult assemble_result(std::vector<CandidateOutcome> candidates);
-
-/// Race the portfolio on \p pool (nullptr = run inline on the caller).
-/// Blocks until every strategy has finished or been skipped.
-PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
-                                const PortfolioOptions& options = {},
-                                ThreadPool* pool = nullptr,
-                                CancellationToken cancel = {});
 
 }  // namespace pmcast::runtime

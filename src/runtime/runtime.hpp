@@ -5,13 +5,13 @@
 ///
 ///   ThreadPool       — work-stealing pool (thread_pool.hpp)
 ///   SolveBudget / CancellationToken — budget control (budget.hpp)
-///   Strategy / solve_portfolio — race all solvers, certify, pick the best
-///                      (portfolio.hpp)
+///   Strategy / run_strategy — one certified solver step (portfolio.hpp)
 ///   Incumbent / PruningPolicy — shared bounds + cooperative pruning of
 ///                      provably-dominated work (incumbent.hpp)
 ///   ResultCache      — sharded LRU over canonical instance keys (cache.hpp)
-///   PortfolioEngine  — batch serving: cache probe, request coalescing,
-///                      strategy fan-out (engine.hpp)
+///   PortfolioEngine / solve_portfolio — the race driver: cache probe,
+///                      request coalescing, staged strategy fan-out, and
+///                      the blocking one-instance call (engine.hpp)
 ///   Tracer / TraceSummary — always-on tracing/profiling: cut-predicate
 ///                      accounting, checkpoint latency, timelines (trace.hpp)
 ///

@@ -65,26 +65,6 @@ void ThreadPool::submit(std::function<void()> task) {
   sleep_cv_.notify_one();
 }
 
-void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  if (queues_.empty()) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  assert(t_pool != this && "run_all from inside a pool task would deadlock");
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = tasks.size();
-  for (auto& task : tasks) {
-    submit([&mutex, &done_cv, &remaining, task = std::move(task)] {
-      task();
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-}
-
 std::size_t ThreadPool::pending() const {
   return in_flight_.load(std::memory_order_relaxed);
 }

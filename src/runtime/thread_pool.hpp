@@ -12,8 +12,8 @@
 /// obvious instead.
 ///
 /// Tasks must not block on other tasks' completion (the pool has no
-/// dependency tracking); the portfolio layer waits with latches from
-/// *outside* the pool.
+/// dependency tracking); the engine chains dependent work by having the
+/// task that finishes a stage submit the next one.
 
 #include <condition_variable>
 #include <cstddef>
@@ -39,12 +39,6 @@ class ThreadPool {
   /// Enqueue \p task. Thread-safe; callable from worker threads too (the
   /// task then goes to the calling worker's own deque).
   void submit(std::function<void()> task);
-
-  /// Enqueue every task and block until all of them have run. With no
-  /// workers the tasks run inline, in order — the shared "fan out and
-  /// wait" path of the portfolio and engine layers. Must not be called
-  /// from inside a pool task (a worker waiting on workers can deadlock).
-  void run_all(std::vector<std::function<void()>> tasks);
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 

@@ -27,7 +27,7 @@
 /// Thread-safety contract: predicate() and checkpoint_gap() may be called
 /// from any number of threads concurrently. event() is single-writer *per
 /// slot* — each strategy slot is owned by the one pool task running that
-/// strategy, which matches how solve_portfolio hands out launch indices.
+/// strategy, which matches how the engine hands out launch indices.
 /// summary() may race with writers (it is acquire-correct), though the
 /// runtime only calls it after the race has joined.
 ///
@@ -62,8 +62,8 @@ enum class CutPredicate : std::uint8_t {
   /// Start-of-strategy early win: a strategy launched earlier certified a
   /// period that meets the proven lower bound, so later launches are moot.
   EarlyWin = 1,
-  /// Between-probe polls inside the LP heuristics: dominance/abort checks
-  /// and the LB-convergence cut that skips provably futile probes.
+  /// Between-probe polls inside the LP heuristics: the LB-convergence cut
+  /// that skips provably futile probes.
   ProbePoll = 2,
   /// MulticastUb mid-strategy check: skip schedule reconstruction when the
   /// bound it just computed is already dominated.

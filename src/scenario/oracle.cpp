@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "runtime/engine.hpp"
+
 namespace pmcast::scenario {
 namespace {
 

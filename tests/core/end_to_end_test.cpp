@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
+#include "core/certificate.hpp"
+#include "core/exact.hpp"
+#include "core/flows.hpp"
+#include "core/formulations.hpp"
+#include "core/lp_heuristics.hpp"
+#include "core/tree.hpp"
+#include "core/tree_heuristics.hpp"
 #include "graph/rng.hpp"
+#include "sched/schedule.hpp"
+#include "sched/simulator.hpp"
 
 namespace pmcast::core {
 namespace {

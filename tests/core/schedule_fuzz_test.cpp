@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
+#include "core/certificate.hpp"
+#include "core/tree.hpp"
 #include "graph/rng.hpp"
+#include "sched/schedule.hpp"
+#include "sched/simulator.hpp"
 
 namespace pmcast::core {
 namespace {

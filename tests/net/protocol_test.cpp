@@ -44,7 +44,7 @@ WireRequest sample_request() {
       StrategyId::Mcph, StrategyId::MulticastUb});
   r.exact_max_nodes = 10;
   r.exact_max_trees = 50'000;
-  r.pruning = static_cast<std::uint8_t>(PruningPolicy::Aggressive);
+  r.pruning = static_cast<std::uint8_t>(PruningPolicy::Deterministic);
   r.known_lower_bound = 2.5;
   r.problem = diamond_problem();
   return r;
@@ -206,7 +206,7 @@ TEST(Protocol, SolveRequestRoundTripsEveryField) {
                                      StrategyId::MulticastUb}));
   EXPECT_EQ(request.limits.exact_max_nodes, 10);
   ASSERT_TRUE(request.pruning.has_value());
-  EXPECT_EQ(*request.pruning, PruningPolicy::Aggressive);
+  EXPECT_EQ(*request.pruning, PruningPolicy::Deterministic);
 }
 
 TEST(Protocol, NoDeadlineTravelsAsFlagAndRestoresSentinel) {
@@ -267,6 +267,17 @@ TEST(Protocol, DeadlineSentinelsCannotBeForgedOnTheWire) {
       must_extract(with_no_deadline_flag(encode_solve_request(request))));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("nonzero deadline"),
+            std::string::npos)
+      << decoded.status().to_string();
+
+  // The pruning byte accepts 0xFF (inherit), 0 (off) and 1 (deterministic)
+  // only. It sits after deadline f64, priority i32, mask u32, max_nodes
+  // i32 and max_trees u64.
+  bytes = encode_solve_request(request);
+  bytes[kHeaderBytes + 28] = 2;
+  decoded = decode_solve_request(must_extract(bytes));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unknown pruning policy"),
             std::string::npos)
       << decoded.status().to_string();
 }

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
+#include "core/problem.hpp"
 #include "graph/rng.hpp"
 
 namespace pmcast::runtime {

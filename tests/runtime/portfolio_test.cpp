@@ -2,11 +2,12 @@
 /// never worse than any individual certified strategy, sandwiched by the LP
 /// bounds, and bit-identical across thread counts.
 
-#include "runtime/portfolio.hpp"
+#include "runtime/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/api.hpp"
+#include "core/exact.hpp"
+#include "core/formulations.hpp"
 #include "graph/rng.hpp"
 
 namespace pmcast::runtime {
@@ -96,8 +97,11 @@ TEST(Portfolio, DeterministicAcrossThreadCounts) {
     MulticastProblem p = random_problem(seed);
     PortfolioResult inline_r = solve_portfolio(p);
     for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      PortfolioResult r = solve_portfolio(p, {}, &pool);
+      EngineOptions options;
+      options.threads = threads;
+      options.cache_capacity = 0;
+      PortfolioEngine engine(options);
+      PortfolioResult r = engine.solve(p);
       ASSERT_EQ(r.ok, inline_r.ok) << threads << " threads, seed " << seed;
       // Bit-identical, not approximately equal: each strategy is a pure
       // function of the instance regardless of which worker ran it.
@@ -117,7 +121,7 @@ TEST(Portfolio, PreCancelledTokenSkipsAllStrategies) {
   MulticastProblem p = random_problem(1);
   CancellationToken cancel;
   cancel.request_stop();
-  PortfolioResult r = solve_portfolio(p, {}, nullptr, cancel);
+  PortfolioResult r = solve_portfolio(p, {}, cancel);
   EXPECT_FALSE(r.ok);
   for (const CandidateOutcome& c : r.candidates) {
     EXPECT_EQ(c.state, CandidateState::Skipped);

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/portfolio.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
 
 // ------------------------------------------------------- allocation counter --
@@ -41,14 +41,29 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+// The deletes stay out of line: inlined into a caller, their free() would
+// meet the pointer from the (out-of-line) operator new above and GCC
+// would flag the pair (-Wmismatched-new-delete).
+__attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(
+    void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](
+    void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -76,8 +91,8 @@ bool is_terminal(TraceEventKind kind) {
 TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
   PortfolioOptions options;
   options.trace = TraceDetail::Timeline;
-  // No pool: every strategy runs inline on this thread, so the timeline
-  // must be one thread id and strictly ordered.
+  // solve_portfolio races inline on this thread, so the timeline must be
+  // one thread id and strictly ordered.
   PortfolioResult result = solve_portfolio(diamond_problem(), options);
   ASSERT_TRUE(result.ok);
   const TraceSummary& trace = result.trace;

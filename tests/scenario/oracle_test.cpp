@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/engine.hpp"
 #include "scenario/generator.hpp"
 
 namespace pmcast::scenario {
