@@ -259,11 +259,11 @@ struct PruningArm {
   int early_win_cancels = 0;
   int probes_skipped = 0;
   std::vector<double> periods;
-  std::vector<runtime::Strategy> winners;
+  std::vector<StrategyId> winners;
 };
 
 PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
-                           runtime::PruningPolicy policy, int threads) {
+                           PruningPolicy policy, int threads) {
   runtime::EngineOptions options;
   options.threads = threads;
   options.cache_capacity = 0;  // measure solving, not caching
@@ -307,9 +307,9 @@ struct PruningReport {
 PruningReport run_pruning_phase(
     const std::vector<core::MulticastProblem>& corpus, int threads) {
   PruningReport report;
-  report.blind = run_pruning_arm(corpus, runtime::PruningPolicy::Off,
+  report.blind = run_pruning_arm(corpus, PruningPolicy::Off,
                                  threads);
-  report.det = run_pruning_arm(corpus, runtime::PruningPolicy::Deterministic,
+  report.det = run_pruning_arm(corpus, PruningPolicy::Deterministic,
                                threads);
   for (size_t i = 0; i < corpus.size(); ++i) {
     // Deterministic must certify the bit-identical period AND winner.
@@ -318,9 +318,9 @@ PruningReport run_pruning_phase(
       std::printf("VIOLATION: deterministic pruning changed instance %zu "
                   "(blind %.12g/%s, pruned %.12g/%s)\n",
                   i, report.blind.periods[i],
-                  runtime::strategy_name(report.blind.winners[i]),
+                  strategy_id_name(report.blind.winners[i]),
                   report.det.periods[i],
-                  runtime::strategy_name(report.det.winners[i]));
+                  strategy_id_name(report.det.winners[i]));
       ++report.mismatches;
     }
   }
@@ -360,7 +360,7 @@ TraceOverheadReport run_trace_overhead(
   // a loaded CI box, and the minimum is the right estimator for a fixed
   // workload (noise only ever adds time).
   TraceOverheadReport report;
-  auto best_of = [&](runtime::TraceDetail detail) {
+  auto best_of = [&](TraceDetail detail) {
     double best = kInfinity;
     for (int rep = 0; rep < 3; ++rep) {
       runtime::EngineOptions options;
@@ -374,8 +374,8 @@ TraceOverheadReport run_trace_overhead(
     }
     return best;
   };
-  report.off_ms = best_of(runtime::TraceDetail::Off);
-  report.counters_ms = best_of(runtime::TraceDetail::Counters);
+  report.off_ms = best_of(TraceDetail::Off);
+  report.counters_ms = best_of(TraceDetail::Counters);
   return report;
 }
 
@@ -682,9 +682,9 @@ int main(int argc, char** argv) {
   {
     runtime::BudgetGuard unlimited;
     runtime::PortfolioOptions options;
-    std::vector<runtime::Strategy> strategies = runtime::all_strategies();
+    std::vector<StrategyId> strategies = all_strategy_ids();
     for (int r = 0; r < kRequests; ++r) {
-      for (runtime::Strategy s : strategies) {
+      for (StrategyId s : strategies) {
         runtime::CandidateOutcome outcome = runtime::run_strategy(
             batch[static_cast<size_t>(r)], s, options, unlimited);
         if (outcome.state == runtime::CandidateState::Certified) {

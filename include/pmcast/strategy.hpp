@@ -1,9 +1,8 @@
 #pragma once
 /// \file pmcast/strategy.hpp
 /// Stable identifiers for the solver strategies a SolveRequest may allow
-/// and a SolveResponse reports on. Mirrors the runtime's internal Strategy
-/// enum one-to-one (checked by a static_assert in the Service
-/// implementation) so the facade stays decoupled from runtime headers.
+/// and a SolveResponse reports on, plus the cooperative-pruning policy.
+/// These are the only definitions: the portfolio runtime uses them too.
 ///
 /// This header is self-contained (standard library only).
 
@@ -60,11 +59,10 @@ inline std::optional<StrategyId> strategy_id_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-/// How the portfolio may use cross-strategy incumbent bounds to cut work
-/// (mirrors the runtime's PruningPolicy one-to-one; checked by a
-/// static_assert in the Service implementation). Every cut is *sound* —
-/// the pruned work provably could not have produced a better certified
-/// period — so the response's period is the same under both policies.
+/// How the portfolio may use cross-strategy incumbent bounds to cut work.
+/// Every cut is *sound* — the pruned work provably could not have produced
+/// a better certified period — so the response's period is the same under
+/// both policies.
 enum class PruningPolicy {
   Off = 0,        ///< blind-to-completion: run every allowed strategy
   Deterministic,  ///< staged race: pruning decisions read barrier-fenced

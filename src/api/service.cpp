@@ -1,10 +1,11 @@
 /// \file service.cpp
 /// Implementation of the pmcast v1 Service facade (pmcast/service.hpp):
-/// request validation, StrategyId <-> runtime::Strategy mapping,
-/// PortfolioResult -> Result<SolveResponse> translation, and the shared
-/// batch state behind SolveFuture/SolveBatch. All engine mechanics
-/// (caching, coalescing, fan-out, streaming) live in runtime/engine.cpp;
-/// this layer only adapts types and classifies failures into Status codes.
+/// request validation, PortfolioResult -> Result<SolveResponse>
+/// translation, and the shared batch state behind SolveFuture/SolveBatch.
+/// All engine mechanics (caching, coalescing, fan-out, streaming) live in
+/// runtime/engine.cpp; the runtime speaks the public vocabulary
+/// (StrategyId, PruningPolicy, TraceDetail, SolveTrace), so this layer
+/// only adapts outcomes and classifies failures into Status codes.
 
 #include "pmcast/service.hpp"
 
@@ -19,119 +20,6 @@
 
 namespace pmcast {
 namespace {
-
-// The public StrategyId mirrors the runtime enum one-to-one; the facade
-// converts by value.
-static_assert(
-    static_cast<int>(StrategyId::Mcph) ==
-            static_cast<int>(runtime::Strategy::Mcph) &&
-        static_cast<int>(StrategyId::PrunedDijkstra) ==
-            static_cast<int>(runtime::Strategy::PrunedDijkstra) &&
-        static_cast<int>(StrategyId::Kmb) ==
-            static_cast<int>(runtime::Strategy::Kmb) &&
-        static_cast<int>(StrategyId::MulticastUb) ==
-            static_cast<int>(runtime::Strategy::MulticastUb) &&
-        static_cast<int>(StrategyId::AugmentedSources) ==
-            static_cast<int>(runtime::Strategy::AugmentedSources) &&
-        static_cast<int>(StrategyId::ReducedBroadcast) ==
-            static_cast<int>(runtime::Strategy::ReducedBroadcast) &&
-        static_cast<int>(StrategyId::AugmentedMulticast) ==
-            static_cast<int>(runtime::Strategy::AugmentedMulticast) &&
-        static_cast<int>(StrategyId::Exact) ==
-            static_cast<int>(runtime::Strategy::Exact),
-    "StrategyId must mirror runtime::Strategy");
-
-static_assert(
-    static_cast<int>(PruningPolicy::Off) ==
-            static_cast<int>(runtime::PruningPolicy::Off) &&
-        static_cast<int>(PruningPolicy::Deterministic) ==
-            static_cast<int>(runtime::PruningPolicy::Deterministic),
-    "PruningPolicy must mirror runtime::PruningPolicy");
-
-static_assert(
-    static_cast<int>(TraceDetail::Off) ==
-            static_cast<int>(runtime::TraceDetail::Off) &&
-        static_cast<int>(TraceDetail::Counters) ==
-            static_cast<int>(runtime::TraceDetail::Counters) &&
-        static_cast<int>(TraceDetail::Timeline) ==
-            static_cast<int>(runtime::TraceDetail::Timeline),
-    "TraceDetail must mirror runtime::TraceDetail");
-
-static_assert(
-    static_cast<int>(TraceEventKind::Launch) ==
-            static_cast<int>(runtime::TraceEventKind::Launch) &&
-        static_cast<int>(TraceEventKind::FirstLpCheckpoint) ==
-            static_cast<int>(runtime::TraceEventKind::FirstLpCheckpoint) &&
-        static_cast<int>(TraceEventKind::Certified) ==
-            static_cast<int>(runtime::TraceEventKind::Certified) &&
-        static_cast<int>(TraceEventKind::Pruned) ==
-            static_cast<int>(runtime::TraceEventKind::Pruned) &&
-        static_cast<int>(TraceEventKind::Skipped) ==
-            static_cast<int>(runtime::TraceEventKind::Skipped) &&
-        static_cast<int>(TraceEventKind::Failed) ==
-            static_cast<int>(runtime::TraceEventKind::Failed),
-    "TraceEventKind must mirror runtime::TraceEventKind");
-
-runtime::Strategy to_runtime(StrategyId id) {
-  return static_cast<runtime::Strategy>(static_cast<int>(id));
-}
-
-runtime::PruningPolicy to_runtime(PruningPolicy policy) {
-  return static_cast<runtime::PruningPolicy>(static_cast<int>(policy));
-}
-
-runtime::TraceDetail to_runtime(TraceDetail detail) {
-  return static_cast<runtime::TraceDetail>(static_cast<int>(detail));
-}
-
-StrategyId to_public(runtime::Strategy s) {
-  return static_cast<StrategyId>(static_cast<int>(s));
-}
-
-std::vector<runtime::Strategy> to_runtime(
-    const std::vector<StrategyId>& ids) {
-  std::vector<runtime::Strategy> out;
-  out.reserve(ids.size());
-  for (StrategyId id : ids) out.push_back(to_runtime(id));
-  return out;
-}
-
-/// Flatten a runtime trace summary into the public SolveTrace. Cheap for
-/// the Off/Counters common cases (the histogram copy is 16 integers).
-SolveTrace to_public(const runtime::TraceSummary& trace) {
-  SolveTrace out;
-  out.detail = static_cast<TraceDetail>(static_cast<int>(trace.detail));
-  if (trace.detail == runtime::TraceDetail::Off) return out;
-  auto predicate = [&](runtime::CutPredicate p) {
-    CutPredicateTrace t;
-    const runtime::PredicateTrace& src = trace.predicate(p);
-    t.evaluated = src.evaluated;
-    t.hits = src.hits;
-    t.closest_miss = src.closest_miss;
-    return t;
-  };
-  out.sub_scatter = predicate(runtime::CutPredicate::SubScatter);
-  out.early_win = predicate(runtime::CutPredicate::EarlyWin);
-  out.probe_poll = predicate(runtime::CutPredicate::ProbePoll);
-  out.reconstruct_skip = predicate(runtime::CutPredicate::ReconstructSkip);
-  out.checkpoint_hist.assign(trace.checkpoint_hist.begin(),
-                             trace.checkpoint_hist.end());
-  out.checkpoint_polls = trace.checkpoint_polls;
-  out.checkpoint_total_us = trace.checkpoint_total_us;
-  out.checkpoint_max_us = trace.checkpoint_max_us;
-  out.timeline.reserve(trace.timeline.size());
-  for (const runtime::TraceEvent& e : trace.timeline) {
-    TraceTimelineEvent event;
-    event.kind = static_cast<TraceEventKind>(static_cast<int>(e.kind));
-    event.strategy = static_cast<StrategyId>(static_cast<int>(e.strategy));
-    event.slot = e.slot;
-    event.thread = e.thread;
-    event.t_us = e.t_us;
-    event.value = e.value;
-    out.timeline.push_back(event);
-  }
-  return out;
-}
 
 OutcomeState to_public(runtime::CandidateState state,
                        runtime::SkipReason reason) {
@@ -234,8 +122,8 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
       }
       if (first_failure.empty() &&
           c.state == runtime::CandidateState::Failed) {
-        first_failure = std::string(runtime::strategy_name(c.strategy)) +
-                        ": " + c.detail;
+        first_failure =
+            std::string(strategy_id_name(c.strategy)) + ": " + c.detail;
       }
     }
     if (cancelled) {
@@ -263,11 +151,11 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
 
   SolveResponse response;
   response.period = run.period;
-  response.winner = to_public(run.winner);
+  response.winner = run.winner;
   response.outcomes.reserve(run.candidates.size());
   for (const runtime::CandidateOutcome& c : run.candidates) {
     StrategyOutcome out;
-    out.strategy = to_public(c.strategy);
+    out.strategy = c.strategy;
     out.state = to_public(c.state, c.skip_reason);
     out.period = c.period;
     out.bound_period = c.bound_period;
@@ -280,7 +168,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     out.lp.columns_priced = c.lp.columns_priced;
     out.lp.master_iterations = c.lp.master_iterations;
     out.lp.pricing_ms = c.lp.pricing_ms;
-    out.prune.probes_skipped = c.prune.probes_skipped;
+    out.prune = c.prune;
     out.detail = c.detail;
     switch (out.state) {
       case OutcomeState::Certified:
@@ -302,12 +190,8 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
       response.certificate.winner_detail = c.detail;
     }
   }
-  response.pruning.strategies_pruned = run.pruning.strategies_pruned;
-  response.pruning.early_win_cancels = run.pruning.early_win_cancels;
-  response.pruning.probes_skipped = run.pruning.probes_skipped;
-  response.pruning.lb_probe_iterations = run.pruning.lb_probe_iterations;
-  response.pruning.proven_lower_bound = run.pruning.proven_lb;
-  response.trace = to_public(run.trace);
+  response.pruning = run.pruning;
+  response.trace = run.trace;
   response.provenance.from_cache = run.from_cache;
   response.provenance.coalesced = run.coalesced;
   response.timing.solve_ms = run.from_cache ? 0.0 : run.elapsed_ms;
@@ -442,9 +326,9 @@ struct Service::Impl {
     eo.portfolio.budget.exact_max_trees = o.exact_max_trees;
     eo.portfolio.budget.colgen_max_nodes = o.colgen_max_nodes;
     eo.portfolio.simulate_periods = o.simulate_periods;
-    eo.portfolio.strategies = to_runtime(o.strategies);
-    eo.portfolio.pruning = to_runtime(o.pruning);
-    eo.portfolio.trace = to_runtime(o.trace);
+    eo.portfolio.strategies = o.strategies;
+    eo.portfolio.pruning = o.pruning;
+    eo.portfolio.trace = o.trace;
     return eo;
   }
 
@@ -502,10 +386,10 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
     ro.budget.exact_max_nodes = req.limits.exact_max_nodes;
     ro.budget.exact_max_trees = req.limits.exact_max_trees;
     ro.budget.colgen_max_nodes = req.limits.colgen_max_nodes;
-    ro.strategies = to_runtime(req.strategies);
+    ro.strategies = std::move(req.strategies);
     ro.priority = req.priority;
     ro.cancel = req.cancel;
-    if (req.pruning.has_value()) ro.pruning = to_runtime(*req.pruning);
+    ro.pruning = req.pruning;
     ro.known_lower_bound = req.known_lower_bound;
     engine_requests.push_back(std::move(ro));
     state->engine_to_facade.push_back(i);
@@ -578,7 +462,7 @@ CacheMetrics Service::cache_metrics() const {
 }
 
 SolveTrace Service::aggregate_trace() const {
-  return to_public(impl_->engine.trace_summary());
+  return impl_->engine.trace_summary();
 }
 
 void Service::clear_cache() { impl_->engine.clear_cache(); }

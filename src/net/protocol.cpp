@@ -533,6 +533,9 @@ Result<WireResponse> decode_solve_response(const Frame& frame) {
   out.proven_lower_bound = r.f64();
   const std::uint32_t n_outcomes = r.u32();
   if (r.failed()) return malformed("truncated solve_response body");
+  if (out.winner > static_cast<std::uint8_t>(StrategyId::Exact)) {
+    return malformed("unknown winner strategy " + std::to_string(out.winner));
+  }
   if (n_outcomes > kMaxOutcomes || !count_fits(r, n_outcomes, 18)) {
     return malformed("outcome count " + std::to_string(n_outcomes) +
                      " does not fit the payload");
@@ -545,6 +548,13 @@ Result<WireResponse> decode_solve_response(const Frame& frame) {
     o.period = r.f64();
     o.elapsed_ms = r.f64();
     if (r.failed()) return malformed("truncated outcome list");
+    if (o.strategy > static_cast<std::uint8_t>(StrategyId::Exact)) {
+      return malformed("unknown outcome strategy " +
+                       std::to_string(o.strategy));
+    }
+    if (o.state > static_cast<std::uint8_t>(OutcomeState::Pruned)) {
+      return malformed("unknown outcome state " + std::to_string(o.state));
+    }
     out.outcomes.push_back(o);
   }
   if (r.remaining() != 0) {
@@ -738,6 +748,9 @@ Result<ServerWireTrace> decode_trace_response(const Frame& frame) {
   out.reconstruct_skip = take_predicate(r);
   const std::uint32_t n_buckets = r.u32();
   if (r.failed()) return malformed("truncated trace_response body");
+  if (out.detail > static_cast<std::uint8_t>(TraceDetail::Timeline)) {
+    return malformed("unknown trace detail " + std::to_string(out.detail));
+  }
   if (n_buckets > kMaxTraceHistBuckets || !count_fits(r, n_buckets, 8)) {
     return malformed("histogram bucket count " + std::to_string(n_buckets) +
                      " does not fit the payload");

@@ -31,7 +31,7 @@ double ms_since(Clock::time_point start) {
 /// strategy_stage() with empty stages dropped under Deterministic, one
 /// flat stage under Off (the blind fan-out).
 std::vector<std::vector<std::size_t>> plan_stages(
-    const std::vector<Strategy>& strategies, PruningPolicy policy) {
+    const std::vector<StrategyId>& strategies, PruningPolicy policy) {
   std::vector<std::vector<std::size_t>> stages;
   if (policy == PruningPolicy::Deterministic) {
     stages.assign(3, {});
@@ -56,9 +56,9 @@ long long run_lb_probe(const core::MulticastProblem& problem,
                        Tracer* tracer) {
   core::FormulationOptions lp_options;
   // The LB probe has no strategy slot; it only feeds the latency
-  // histogram (slot -1 makes the timeline event a no-op).
+  // histogram (slot -1 records no timeline event, so no strategy is named).
   lp_options.solver.checkpoint =
-      budget_checkpoint(guard, tracer, /*slot=*/-1, /*strategy=*/0xFF);
+      budget_checkpoint(guard, tracer, /*slot=*/-1, StrategyId{});
   core::FlowSolution lb = core::solve_multicast_lb(problem, lp_options);
   if (lb.ok()) {
     // Publish the LP value as reported. An earlier revision deflated it by
@@ -124,7 +124,7 @@ struct EngineGroup {
   std::vector<std::size_t> followers;
   PortfolioOptions options;
   BudgetGuard guard;
-  std::vector<Strategy> strategies;
+  std::vector<StrategyId> strategies;
   std::vector<CandidateOutcome> outcomes;
   int priority = 0;
 
@@ -160,7 +160,7 @@ struct EngineBatchState {
   ResultCache* cache = nullptr;
   /// Engine-wide cumulative trace (both owned by the engine, which
   /// outlives every task of this batch).
-  TraceSummary* engine_trace = nullptr;
+  SolveTrace* engine_trace = nullptr;
   std::mutex* engine_trace_mutex = nullptr;
 
   /// Publish one request's result and fire the callback. The callback
@@ -203,12 +203,12 @@ struct EngineBatchState {
   void finish_group(EngineGroup& group) {
     PortfolioResult result = assemble_result(std::move(group.outcomes));
     result.pruning.lb_probe_iterations = group.lb_probe_iterations;
-    result.pruning.proven_lb = group.incumbent.proven_lb();
+    result.pruning.proven_lower_bound = group.incumbent.proven_lb();
     if (group.tracer != nullptr) {
       result.trace = group.tracer->summary();
       if (engine_trace != nullptr) {
         std::lock_guard<std::mutex> lock(*engine_trace_mutex);
-        engine_trace->merge(result.trace);
+        merge(*engine_trace, result.trace);
       }
     }
     result.elapsed_ms = ms_since(start);
@@ -371,7 +371,7 @@ SolveTicket PortfolioEngine::submit_batch(
     group->guard = BudgetGuard{group->options.budget.deadline_from(state->start),
                                req.cancel, state->batch_cancel};
     group->strategies = group->options.strategies.empty()
-                            ? all_strategies()
+                            ? all_strategy_ids()
                             : group->options.strategies;
     group->outcomes.resize(group->strategies.size());
     group->envs.resize(group->strategies.size());
@@ -491,7 +491,7 @@ void PortfolioEngine::complete_stage_task(
   state->finish_group(*group);
 }
 
-TraceSummary PortfolioEngine::trace_summary() const {
+SolveTrace PortfolioEngine::trace_summary() const {
   std::lock_guard<std::mutex> lock(trace_mutex_);
   return trace_;
 }

@@ -80,7 +80,7 @@ struct RequestOptions {
   /// an engine configured differently. Use SolveBudget::inherit().
   SolveBudget budget = SolveBudget::inherit();
   /// Strategy allowlist; empty inherits the engine portfolio.
-  std::vector<Strategy> strategies;
+  std::vector<StrategyId> strategies;
   /// Higher-priority requests are dispatched to the pool first.
   int priority = 0;
   /// Cooperative cancellation; request_stop() makes not-yet-started
@@ -172,7 +172,7 @@ class PortfolioEngine {
   /// Cumulative trace merged over every group this engine has finished.
   /// Counters only — timelines stay on the individual PortfolioResults
   /// (their timestamps share no origin across races).
-  TraceSummary trace_summary() const;
+  SolveTrace trace_summary() const;
 
  private:
   /// Submit one group's current stage onto the pool (envs refreshed from
@@ -191,7 +191,7 @@ class PortfolioEngine {
   // and the cumulative trace.
   ResultCache cache_;
   mutable std::mutex trace_mutex_;
-  TraceSummary trace_;
+  SolveTrace trace_;
   ThreadPool pool_;
 };
 

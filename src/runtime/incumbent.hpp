@@ -31,15 +31,6 @@
 
 namespace pmcast::runtime {
 
-/// How the portfolio may use cross-strategy information to cut work.
-enum class PruningPolicy {
-  Off,            ///< blind-to-completion: run everything
-  Deterministic,  ///< staged race; pruning reads only barrier-fenced
-                  ///< snapshots, so every candidate outcome is bit-identical
-                  ///< across thread counts and identical to Off for the
-                  ///< winner and period
-};
-
 /// Barrier-fenced copy of an Incumbent (see Incumbent::freeze()).
 struct IncumbentSnapshot {
   double best_certified = std::numeric_limits<double>::infinity();

@@ -36,9 +36,9 @@ double ms_since(Clock::time_point start) {
 /// candidates can never beat the full-platform Multicast-UB LP value
 /// (scatter is monotone under node removal), which is what the
 /// scatter-bound dominance cut trades on.
-bool certifies_via_sub_scatter(Strategy strategy) {
-  return strategy == Strategy::ReducedBroadcast ||
-         strategy == Strategy::AugmentedMulticast;
+bool certifies_via_sub_scatter(StrategyId strategy) {
+  return strategy == StrategyId::ReducedBroadcast ||
+         strategy == StrategyId::AugmentedMulticast;
 }
 
 /// Early-win: a strategy launched before this one certified at (or below)
@@ -82,7 +82,7 @@ struct CheckpointProbe {
 /// checkpoint hook, i.e. every lp::SolverOptions::checkpoint_every
 /// iterations.
 void record_checkpoint(Tracer* tracer, CheckpointProbe* probe, int slot,
-                       std::uint8_t strategy) {
+                       StrategyId strategy) {
   if (probe == nullptr) return;
   const Clock::time_point now = Clock::now();
   if (probe->first) {
@@ -324,35 +324,10 @@ void run_exact(const MulticastProblem& problem,
   out.period = 1.0 / cert.throughput;
 }
 
-}  // namespace
-
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Mcph: return "mcph";
-    case Strategy::PrunedDijkstra: return "pruned_dijkstra";
-    case Strategy::Kmb: return "kmb";
-    case Strategy::MulticastUb: return "multicast_ub";
-    case Strategy::AugmentedSources: return "augmented_sources";
-    case Strategy::ReducedBroadcast: return "reduced_broadcast";
-    case Strategy::AugmentedMulticast: return "augmented_multicast";
-    case Strategy::Exact: return "exact";
-  }
-  return "?";
-}
-
-std::vector<Strategy> all_strategies() {
-  return {Strategy::Mcph,             Strategy::PrunedDijkstra,
-          Strategy::Kmb,              Strategy::MulticastUb,
-          Strategy::AugmentedSources, Strategy::ReducedBroadcast,
-          Strategy::AugmentedMulticast, Strategy::Exact};
-}
-
-namespace {
-
 /// The body of run_strategy; the public wrapper adds the Launch/terminal
 /// timeline events around it so no early return can skip them.
 CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
-                                   Strategy strategy,
+                                   StrategyId strategy,
                                    const PortfolioOptions& options,
                                    const BudgetGuard& guard,
                                    const StrategyEnv* env, Tracer* tracer) {
@@ -406,8 +381,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
   }
 
   // --- cooperative hooks shared by every solve of this strategy -----------
-  auto checkpoint = budget_checkpoint(guard, tracer, launch_index,
-                                      static_cast<std::uint8_t>(strategy));
+  auto checkpoint = budget_checkpoint(guard, tracer, launch_index, strategy);
   core::FormulationOptions lp_options;
   lp_options.solver.checkpoint = checkpoint;
   core::HeuristicOptions heuristic_options;
@@ -445,11 +419,11 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
 
   Clock::time_point start = Clock::now();
   switch (strategy) {
-    case Strategy::Mcph:
-    case Strategy::PrunedDijkstra:
-    case Strategy::Kmb: {
-      auto tree = strategy == Strategy::Mcph ? core::mcph(problem)
-                  : strategy == Strategy::PrunedDijkstra
+    case StrategyId::Mcph:
+    case StrategyId::PrunedDijkstra:
+    case StrategyId::Kmb: {
+      auto tree = strategy == StrategyId::Mcph ? core::mcph(problem)
+                  : strategy == StrategyId::PrunedDijkstra
                       ? core::pruned_dijkstra(problem)
                       : core::kmb(problem);
       if (!tree) {
@@ -460,7 +434,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       }
       break;
     }
-    case Strategy::MulticastUb: {
+    case StrategyId::MulticastUb: {
       core::FlowSolution ub = core::solve_multicast_ub(problem, lp_options);
       if (lp::is_interrupted(ub.status)) {
         out.lp.solves += 1;
@@ -498,7 +472,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       certify_flow(problem, ub, out);
       break;
     }
-    case Strategy::AugmentedSources: {
+    case StrategyId::AugmentedSources: {
       auto as = core::augmented_sources(problem, heuristic_options);
       out.bound_period = as.period;
       out.lp.merge(as.lp_stats);
@@ -526,9 +500,9 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       out.period = fs.period;
       break;
     }
-    case Strategy::ReducedBroadcast:
-    case Strategy::AugmentedMulticast: {
-      auto platform = strategy == Strategy::ReducedBroadcast
+    case StrategyId::ReducedBroadcast:
+    case StrategyId::AugmentedMulticast: {
+      auto platform = strategy == StrategyId::ReducedBroadcast
                           ? core::reduced_broadcast(problem, heuristic_options)
                           : core::augmented_multicast(problem,
                                                       heuristic_options);
@@ -540,7 +514,7 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
       certify_platform(problem, platform, lp_options, guard, out);
       break;
     }
-    case Strategy::Exact:
+    case StrategyId::Exact:
       run_exact(problem, options, guard, checkpoint, out);
       break;
   }
@@ -556,15 +530,14 @@ CandidateOutcome run_strategy_impl(const core::MulticastProblem& problem,
 }  // namespace
 
 CandidateOutcome run_strategy(const core::MulticastProblem& problem,
-                              Strategy strategy,
+                              StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,
                               const StrategyEnv* env) {
   Tracer* tracer = env != nullptr ? env->tracer : nullptr;
   const int slot = env != nullptr ? env->launch_index : 0;
   if (tracer != nullptr) {
-    tracer->event(TraceEventKind::Launch, slot,
-                  static_cast<std::uint8_t>(strategy), 0.0);
+    tracer->event(TraceEventKind::Launch, slot, strategy, 0.0);
   }
   CandidateOutcome out =
       run_strategy_impl(problem, strategy, options, guard, env, tracer);
@@ -573,32 +546,30 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
                              ? out.period
                              : (out.bound_period < kInfinity ? out.bound_period
                                                              : 0.0);
-    tracer->event(terminal_event(out), slot,
-                  static_cast<std::uint8_t>(strategy), value);
+    tracer->event(terminal_event(out), slot, strategy, value);
   }
   return out;
 }
 
-int strategy_stage(Strategy strategy) {
+int strategy_stage(StrategyId strategy) {
   switch (strategy) {
-    case Strategy::Mcph:
-    case Strategy::PrunedDijkstra:
-    case Strategy::Kmb:
+    case StrategyId::Mcph:
+    case StrategyId::PrunedDijkstra:
+    case StrategyId::Kmb:
       return 0;
-    case Strategy::MulticastUb:
-    case Strategy::Exact:
+    case StrategyId::MulticastUb:
+    case StrategyId::Exact:
       return 1;
-    case Strategy::AugmentedSources:
-    case Strategy::ReducedBroadcast:
-    case Strategy::AugmentedMulticast:
+    case StrategyId::AugmentedSources:
+    case StrategyId::ReducedBroadcast:
+    case StrategyId::AugmentedMulticast:
       return 2;
   }
   return 2;
 }
 
 std::function<lp::CheckpointAction()> budget_checkpoint(
-    const BudgetGuard& guard, Tracer* tracer, int slot,
-    std::uint8_t strategy) {
+    const BudgetGuard& guard, Tracer* tracer, int slot, StrategyId strategy) {
   // Checkpoint-gap measurement (and the FirstLpCheckpoint event) for the
   // latency histogram; heap-free unless tracing is on.
   std::shared_ptr<CheckpointProbe> probe;

@@ -24,7 +24,7 @@
 /// instance, candidates land in fixed slots, and ties break by strategy
 /// order — the result is bit-identical across 1, 2 or 8 threads.
 ///
-/// Cooperative pruning (PruningPolicy, runtime/incumbent.hpp): the race
+/// Cooperative pruning (PruningPolicy; runtime/incumbent.hpp): the race
 /// shares incumbent bounds so provably-dominated work is cut — the
 /// platform heuristics are skipped once a cheaper candidate beats the
 /// full-platform scatter bound, and every strategy stops once a certified
@@ -39,7 +39,6 @@
 /// The race itself is driven by PortfolioEngine (engine.hpp); this header
 /// holds its vocabulary and the one-strategy step it fans out.
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -51,23 +50,6 @@
 #include "runtime/trace.hpp"
 
 namespace pmcast::runtime {
-
-enum class Strategy {
-  Mcph = 0,            ///< paper Fig. 9 tree heuristic
-  PrunedDijkstra,      ///< Steiner baseline
-  Kmb,                 ///< Steiner baseline (distance network)
-  MulticastUb,         ///< LP scatter bound, always reconstructible
-  AugmentedSources,    ///< paper Fig. 8 multisource heuristic
-  ReducedBroadcast,    ///< paper Fig. 6 platform heuristic
-  AugmentedMulticast,  ///< paper Fig. 7 platform heuristic
-  Exact,               ///< tree-enumeration LP (small instances only)
-};
-
-const char* strategy_name(Strategy s);
-
-/// All strategies in launch order: cheap and certain first, so tight
-/// budgets still produce a certified answer.
-std::vector<Strategy> all_strategies();
 
 enum class CandidateState {
   Certified,  ///< period realised as a schedule and validated
@@ -93,13 +75,8 @@ inline bool is_pruned(SkipReason reason) {
   return reason == SkipReason::Dominated || reason == SkipReason::EarlyWin;
 }
 
-/// Per-candidate cooperative-pruning counters.
-struct PruneCounters {
-  int probes_skipped = 0;  ///< heuristic probes not run (LB convergence)
-};
-
 struct CandidateOutcome {
-  Strategy strategy = Strategy::Mcph;
+  StrategyId strategy = StrategyId::Mcph;
   CandidateState state = CandidateState::Skipped;
   SkipReason skip_reason = SkipReason::NotSkipped;
   double period = kInfinity;        ///< certified period (time per multicast)
@@ -113,8 +90,8 @@ struct CandidateOutcome {
 };
 
 struct PortfolioOptions {
-  /// Strategies to race; empty means all_strategies().
-  std::vector<Strategy> strategies;
+  /// Strategies to race; empty means all_strategy_ids().
+  std::vector<StrategyId> strategies;
   SolveBudget budget;
   /// Extra discrete-event replay periods for tree certificates (0 = the
   /// static checks only; they already include the König orchestration).
@@ -131,25 +108,15 @@ struct PortfolioOptions {
   TraceDetail trace = TraceDetail::Counters;
 };
 
-/// Race-level pruning summary, aggregated over the candidates.
-struct PruningSummary {
-  int strategies_pruned = 0;   ///< candidates skipped as Dominated
-  int early_win_cancels = 0;   ///< candidates skipped/stopped as EarlyWin
-  int probes_skipped = 0;      ///< heuristic probes not run
-  long long lb_probe_iterations = 0;  ///< simplex iterations spent proving
-                                      ///< the Multicast-LB lower bound
-  double proven_lb = 0.0;      ///< best proven lower bound (0 = none)
-};
-
 struct PortfolioResult {
   bool ok = false;             ///< at least one strategy certified
   double period = kInfinity;   ///< best certified period
-  Strategy winner = Strategy::Mcph;
+  StrategyId winner = StrategyId::Mcph;
   std::vector<CandidateOutcome> candidates;  ///< indexed by launch order
-  PruningSummary pruning;
+  PruningSummary pruning;  ///< aggregated over the candidates
   /// What the tracer recorded for this race (detail == Off when tracing
   /// was disabled; see PortfolioOptions::trace).
-  TraceSummary trace;
+  SolveTrace trace;
   double elapsed_ms = 0.0;
   bool from_cache = false;  ///< served from the engine's LRU cache
   bool coalesced = false;   ///< duplicate within a batch, copied from leader
@@ -174,7 +141,7 @@ struct StrategyEnv {
 /// the strategy return Skipped/DeadlineExpired within one checkpoint
 /// interval instead of running the solve to completion.
 CandidateOutcome run_strategy(const core::MulticastProblem& problem,
-                              Strategy strategy,
+                              StrategyId strategy,
                               const PortfolioOptions& options,
                               const BudgetGuard& guard,
                               const StrategyEnv* env = nullptr);
@@ -182,17 +149,17 @@ CandidateOutcome run_strategy(const core::MulticastProblem& problem,
 /// The simplex checkpoint hook of one strategy's LP solves (or, with
 /// \p slot -1, of the race's Multicast-LB probe): Abort once \p guard
 /// expires. With an enabled \p tracer it also feeds the checkpoint
-/// latency histogram and, once, the slot's FirstLpCheckpoint event.
+/// latency histogram and, once, the slot's FirstLpCheckpoint event
+/// (\p strategy names it; slot -1 records none).
 /// \p guard is captured by reference and must outlive the solves.
 std::function<lp::CheckpointAction()> budget_checkpoint(
-    const BudgetGuard& guard, Tracer* tracer, int slot,
-    std::uint8_t strategy);
+    const BudgetGuard& guard, Tracer* tracer, int slot, StrategyId strategy);
 
 /// The deterministic launch stage of a strategy: 0 = tree heuristics,
 /// 1 = bound providers (Multicast-UB, exact), 2 = LP refinement
 /// heuristics. PruningPolicy::Deterministic runs the race stage by stage
 /// (a barrier between stages) so pruning decisions depend only on which
 /// strategies ran, never on timing.
-int strategy_stage(Strategy strategy);
+int strategy_stage(StrategyId strategy);
 
 }  // namespace pmcast::runtime

@@ -5,15 +5,20 @@
 ///
 ///   ThreadPool       — work-stealing pool (thread_pool.hpp)
 ///   SolveBudget / CancellationToken — budget control (budget.hpp)
-///   Strategy / run_strategy — one certified solver step (portfolio.hpp)
-///   Incumbent / PruningPolicy — shared bounds + cooperative pruning of
+///   run_strategy     — one certified solver step (portfolio.hpp)
+///   Incumbent        — shared bounds for cooperative pruning of
 ///                      provably-dominated work (incumbent.hpp)
 ///   ResultCache      — sharded LRU over canonical instance keys (cache.hpp)
 ///   PortfolioEngine / solve_portfolio — the race driver: cache probe,
 ///                      request coalescing, staged strategy fan-out, and
 ///                      the blocking one-instance call (engine.hpp)
-///   Tracer / TraceSummary — always-on tracing/profiling: cut-predicate
+///   Tracer           — always-on tracing/profiling: cut-predicate
 ///                      accounting, checkpoint latency, timelines (trace.hpp)
+///
+/// The vocabulary is the public API's, defined once in pmcast/strategy.hpp
+/// and pmcast/response.hpp: StrategyId, PruningPolicy, TraceDetail,
+/// TraceEventKind, and the PruneCounters/PruningSummary/SolveTrace records
+/// a PortfolioResult carries.
 ///
 /// Quickstart:
 ///   runtime::PortfolioEngine engine({.threads = 8});

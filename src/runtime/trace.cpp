@@ -24,51 +24,26 @@ int gap_bucket(double gap_us) {
 
 }  // namespace
 
-const char* trace_detail_name(TraceDetail detail) {
-  switch (detail) {
-    case TraceDetail::Off: return "off";
-    case TraceDetail::Counters: return "counters";
-    case TraceDetail::Timeline: return "timeline";
+void merge(SolveTrace& total, const SolveTrace& trace) {
+  if (trace.detail == TraceDetail::Off) return;
+  total.detail = std::max(total.detail, trace.detail);
+  auto add = [](CutPredicateTrace& into, const CutPredicateTrace& from) {
+    into.evaluated += from.evaluated;
+    into.hits += from.hits;
+    into.closest_miss = std::min(into.closest_miss, from.closest_miss);
+  };
+  add(total.sub_scatter, trace.sub_scatter);
+  add(total.early_win, trace.early_win);
+  add(total.probe_poll, trace.probe_poll);
+  add(total.reconstruct_skip, trace.reconstruct_skip);
+  total.checkpoint_hist.resize(kCheckpointBuckets);
+  for (std::size_t b = 0; b < trace.checkpoint_hist.size(); ++b) {
+    total.checkpoint_hist[b] += trace.checkpoint_hist[b];
   }
-  return "?";
-}
-
-const char* cut_predicate_name(CutPredicate predicate) {
-  switch (predicate) {
-    case CutPredicate::SubScatter: return "sub_scatter";
-    case CutPredicate::EarlyWin: return "early_win";
-    case CutPredicate::ProbePoll: return "probe_poll";
-    case CutPredicate::ReconstructSkip: return "reconstruct_skip";
-  }
-  return "?";
-}
-
-const char* trace_event_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::Launch: return "launch";
-    case TraceEventKind::FirstLpCheckpoint: return "first_lp_checkpoint";
-    case TraceEventKind::Certified: return "certified";
-    case TraceEventKind::Pruned: return "pruned";
-    case TraceEventKind::Skipped: return "skipped";
-    case TraceEventKind::Failed: return "failed";
-  }
-  return "?";
-}
-
-void TraceSummary::merge(const TraceSummary& other) {
-  detail = std::max(detail, other.detail);
-  for (int p = 0; p < kCutPredicateCount; ++p) {
-    predicates[p].evaluated += other.predicates[p].evaluated;
-    predicates[p].hits += other.predicates[p].hits;
-    predicates[p].closest_miss =
-        std::min(predicates[p].closest_miss, other.predicates[p].closest_miss);
-  }
-  for (int b = 0; b < kCheckpointBuckets; ++b) {
-    checkpoint_hist[b] += other.checkpoint_hist[b];
-  }
-  checkpoint_polls += other.checkpoint_polls;
-  checkpoint_total_us += other.checkpoint_total_us;
-  checkpoint_max_us = std::max(checkpoint_max_us, other.checkpoint_max_us);
+  total.checkpoint_polls += trace.checkpoint_polls;
+  total.checkpoint_total_us += trace.checkpoint_total_us;
+  total.checkpoint_max_us =
+      std::max(total.checkpoint_max_us, trace.checkpoint_max_us);
 }
 
 Tracer::Tracer(TraceDetail detail, std::size_t slots) : detail_(detail) {
@@ -118,38 +93,44 @@ void Tracer::checkpoint_gap(double gap_us) {
   }
 }
 
-void Tracer::event(TraceEventKind kind, int slot, std::uint8_t strategy,
+void Tracer::event(TraceEventKind kind, int slot, StrategyId strategy,
                    double value) {
   if (detail_ != TraceDetail::Timeline) return;
   if (slot < 0 || static_cast<std::size_t>(slot) >= slots_.size()) return;
   SlotEvents& cell = slots_[static_cast<std::size_t>(slot)];
   const std::uint32_t count = cell.count.load(std::memory_order_relaxed);
   if (count >= kMaxEventsPerSlot) return;  // drop, never block
-  TraceEvent& event = cell.events[count];
-  event.t_us = now_us();
-  event.value = value;
-  event.thread = hashed_thread_id();
+  TraceTimelineEvent& event = cell.events[count];
   event.kind = kind;
   event.strategy = strategy;
-  event.slot = static_cast<std::int16_t>(slot);
+  event.slot = slot;
+  event.thread = hashed_thread_id();
+  event.t_us = now_us();
+  event.value = value;
   // Publish after the payload is fully written (summary() acquires).
   cell.count.store(count + 1, std::memory_order_release);
 }
 
-TraceSummary Tracer::summary() const {
-  TraceSummary out;
+SolveTrace Tracer::summary() const {
+  SolveTrace out;
   out.detail = detail_;
   if (detail_ == TraceDetail::Off) return out;
-  for (int p = 0; p < kCutPredicateCount; ++p) {
-    const PredicateCell& cell = predicates_[p];
-    out.predicates[p].evaluated =
-        cell.evaluated.load(std::memory_order_relaxed);
-    out.predicates[p].hits = cell.hits.load(std::memory_order_relaxed);
-    out.predicates[p].closest_miss = std::bit_cast<double>(
+  auto predicate = [this](CutPredicate p) {
+    const PredicateCell& cell = predicates_[static_cast<std::size_t>(p)];
+    CutPredicateTrace t;
+    t.evaluated = cell.evaluated.load(std::memory_order_relaxed);
+    t.hits = cell.hits.load(std::memory_order_relaxed);
+    t.closest_miss = std::bit_cast<double>(
         cell.closest_miss_bits.load(std::memory_order_relaxed));
-  }
-  for (int b = 0; b < kCheckpointBuckets; ++b) {
-    out.checkpoint_hist[b] = hist_[b].load(std::memory_order_relaxed);
+    return t;
+  };
+  out.sub_scatter = predicate(CutPredicate::SubScatter);
+  out.early_win = predicate(CutPredicate::EarlyWin);
+  out.probe_poll = predicate(CutPredicate::ProbePoll);
+  out.reconstruct_skip = predicate(CutPredicate::ReconstructSkip);
+  out.checkpoint_hist.reserve(kCheckpointBuckets);
+  for (const std::atomic<std::uint64_t>& bucket : hist_) {
+    out.checkpoint_hist.push_back(bucket.load(std::memory_order_relaxed));
   }
   out.checkpoint_polls = polls_.load(std::memory_order_relaxed);
   out.checkpoint_total_us =
@@ -165,7 +146,8 @@ TraceSummary Tracer::summary() const {
       }
     }
     std::stable_sort(out.timeline.begin(), out.timeline.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
+                     [](const TraceTimelineEvent& a,
+                        const TraceTimelineEvent& b) {
                        return a.t_us < b.t_us;
                      });
   }

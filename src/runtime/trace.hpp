@@ -21,8 +21,11 @@
 ///             checkpoint (every 32 simplex iterations).
 ///   Timeline  Counters plus per-strategy event timelines with monotonic
 ///             timestamps and (hashed) thread ids. The only level that
-///             allocates: one fixed-size event buffer per strategy slot,
-///             sized at construction.
+///             allocates while recording: one fixed-size event buffer per
+///             strategy slot, sized at construction.
+///
+/// summary() allocates only for what it returns: the 16-bucket histogram
+/// above Off, and the timeline at Timeline.
 ///
 /// Thread-safety contract: predicate() and checkpoint_gap() may be called
 /// from any number of threads concurrently. event() is single-writer *per
@@ -31,9 +34,8 @@
 /// summary() may race with writers (it is acquire-correct), though the
 /// runtime only calls it after the race has joined.
 ///
-/// This header deliberately does not include portfolio.hpp: strategies are
-/// carried as raw uint8 so the tracer can be used from any layer without
-/// an include cycle.
+/// The recorded vocabulary is the public one (pmcast/response.hpp):
+/// TraceDetail, TraceEventKind, and the SolveTrace that summary() returns.
 
 #include <array>
 #include <atomic>
@@ -44,15 +46,9 @@
 #include <limits>
 #include <vector>
 
+#include "pmcast/response.hpp"
+
 namespace pmcast::runtime {
-
-enum class TraceDetail : std::uint8_t {
-  Off = 0,       ///< record nothing; zero heap, zero atomics, zero clocks
-  Counters = 1,  ///< predicate accounting + checkpoint latency histogram
-  Timeline = 2,  ///< Counters plus per-strategy event timelines
-};
-
-const char* trace_detail_name(TraceDetail detail);
 
 /// The cut predicates the runtime evaluates while racing a portfolio.
 enum class CutPredicate : std::uint8_t {
@@ -72,76 +68,17 @@ enum class CutPredicate : std::uint8_t {
 
 inline constexpr int kCutPredicateCount = 4;
 
-const char* cut_predicate_name(CutPredicate predicate);
-
-enum class TraceEventKind : std::uint8_t {
-  Launch = 0,            ///< strategy task started executing
-  FirstLpCheckpoint = 1, ///< first in-LP budget checkpoint (LP warm-up over)
-  Certified = 2,         ///< strategy certified a period (event value)
-  Pruned = 3,            ///< strategy cut before/while running
-  Skipped = 4,           ///< strategy never ran usefully (budget, filter)
-  Failed = 5,            ///< strategy finished without a certificate
-};
-
-const char* trace_event_name(TraceEventKind kind);
-
-/// One timeline entry. Timestamps are microseconds since the tracer was
-/// constructed (steady clock, monotonic within one race).
-struct TraceEvent {
-  double t_us = 0.0;
-  /// Kind-specific payload: certified period for Certified, the bound
-  /// period for Pruned/Skipped/Failed when one exists, else 0.
-  double value = 0.0;
-  std::uint32_t thread = 0;  ///< hashed std::this_thread id
-  TraceEventKind kind = TraceEventKind::Launch;
-  std::uint8_t strategy = 0;  ///< StrategyId as raw uint8
-  std::int16_t slot = 0;      ///< launch index within the race
-};
-
-/// Accounting for one cut predicate.
-struct PredicateTrace {
-  std::uint64_t evaluated = 0;
-  std::uint64_t hits = 0;
-  /// Smallest finite nonnegative margin by which the predicate missed —
-  /// "how close it came to firing". Infinity when every evaluation hit or
-  /// no finite margin was recorded.
-  double closest_miss = std::numeric_limits<double>::infinity();
-
-  std::uint64_t misses() const { return evaluated - hits; }
-};
-
 /// Checkpoint latency histogram: bucket 0 counts gaps below 1us, bucket i
 /// (i >= 1) counts gaps in [2^(i-1), 2^i) us, and the last bucket absorbs
 /// everything above 2^(kCheckpointBuckets-2) us (~16ms).
 inline constexpr int kCheckpointBuckets = 16;
 
-/// A plain-value snapshot of everything a Tracer recorded. Cheap to copy,
-/// safe to cache alongside a PortfolioResult.
-struct TraceSummary {
-  TraceDetail detail = TraceDetail::Off;
-  std::array<PredicateTrace, kCutPredicateCount> predicates{};
-  std::array<std::uint64_t, kCheckpointBuckets> checkpoint_hist{};
-  std::uint64_t checkpoint_polls = 0;
-  double checkpoint_total_us = 0.0;
-  double checkpoint_max_us = 0.0;
-  /// Timeline detail only; sorted by timestamp. Engine-level merges drop
-  /// timelines (timestamps from different races share no origin).
-  std::vector<TraceEvent> timeline;
-
-  const PredicateTrace& predicate(CutPredicate p) const {
-    return predicates[static_cast<std::size_t>(p)];
-  }
-  double checkpoint_mean_us() const {
-    return checkpoint_polls == 0
-               ? 0.0
-               : checkpoint_total_us / static_cast<double>(checkpoint_polls);
-  }
-
-  /// Fold another summary's counters into this one (histogram adds,
-  /// closest_miss takes the min, max gap takes the max). Timelines are
-  /// intentionally not merged; detail becomes the max of the two.
-  void merge(const TraceSummary& other);
-};
+/// Fold \p trace's counters into \p total (histogram adds, closest_miss
+/// takes the min, max gap takes the max, detail becomes the max). A
+/// detail-Off \p trace adds nothing, so \p total keeps an empty histogram
+/// until the first enabled trace sizes it. Timelines are not merged:
+/// timestamps from different races share no origin.
+void merge(SolveTrace& total, const SolveTrace& trace);
 
 /// The recorder. One Tracer lives for the duration of one portfolio race
 /// (or, in the engine, one coalesced group). All recording methods are
@@ -160,7 +97,6 @@ class Tracer {
 
   TraceDetail detail() const { return detail_; }
   bool enabled() const { return detail_ != TraceDetail::Off; }
-  bool timeline_enabled() const { return detail_ == TraceDetail::Timeline; }
 
   /// Record one evaluation of \p predicate. On a miss, \p miss_margin says
   /// how far the predicate was from firing (same units as the quantity it
@@ -172,13 +108,15 @@ class Tracer {
   void checkpoint_gap(double gap_us);
 
   /// Append a timeline event for \p slot (single writer per slot).
-  void event(TraceEventKind kind, int slot, std::uint8_t strategy,
+  void event(TraceEventKind kind, int slot, StrategyId strategy,
              double value);
 
   /// Microseconds since this tracer was constructed (0 when disabled).
   double now_us() const;
 
-  TraceSummary summary() const;
+  /// A plain-value snapshot of everything recorded; the CutPredicate
+  /// cells map onto SolveTrace's four named predicate fields.
+  SolveTrace summary() const;
 
  private:
   struct PredicateCell {
@@ -192,7 +130,7 @@ class Tracer {
   };
 
   struct SlotEvents {
-    std::array<TraceEvent, kMaxEventsPerSlot> events{};
+    std::array<TraceTimelineEvent, kMaxEventsPerSlot> events{};
     std::atomic<std::uint32_t> count{0};
   };
 

@@ -9,7 +9,6 @@ namespace {
 
 using runtime::CandidateOutcome;
 using runtime::CandidateState;
-using runtime::Strategy;
 
 /// a <= b up to the relative tolerance (scale-aware, absolute floor for
 /// values near zero).
@@ -69,16 +68,16 @@ OracleReport cross_check(const core::MulticastProblem& problem,
         // Invariant 1: certified period >= LP lower bound.
         if (lb.ok() && !leq(lb.period, c.period, options.rel_tol)) {
           violate("lb_ordering",
-                  std::string(strategy_name(c.strategy)) + " period " +
+                  std::string(strategy_id_name(c.strategy)) + " period " +
                       fmt(c.period) + " beats the LP lower bound " +
                       fmt(lb.period));
         }
-        if (c.strategy == Strategy::Exact) {
+        if (c.strategy == StrategyId::Exact) {
           exact = &c;
           report.exact_certified = true;
           report.exact_period = c.period;
         }
-        if (c.strategy == Strategy::MulticastUb) multicast_ub = &c;
+        if (c.strategy == StrategyId::MulticastUb) multicast_ub = &c;
         break;
       }
       case CandidateState::Failed:
@@ -87,7 +86,7 @@ OracleReport cross_check(const core::MulticastProblem& problem,
         // certify or declare itself inapplicable (Skipped).
         if (!options.allow_failures) {
           violate("strategy_failed",
-                  std::string(strategy_name(c.strategy)) + ": " + c.detail);
+                  std::string(strategy_id_name(c.strategy)) + ": " + c.detail);
         }
         break;
       case CandidateState::Skipped:
@@ -103,14 +102,14 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   if (exact != nullptr) {
     for (const CandidateOutcome& c : result.candidates) {
       if (c.state != CandidateState::Certified) continue;
-      bool single_tree = c.strategy == Strategy::Mcph ||
-                         c.strategy == Strategy::PrunedDijkstra ||
-                         c.strategy == Strategy::Kmb;
+      bool single_tree = c.strategy == StrategyId::Mcph ||
+                         c.strategy == StrategyId::PrunedDijkstra ||
+                         c.strategy == StrategyId::Kmb;
       if (!single_tree) continue;
       if (!leq(exact->period, c.period, options.rel_tol)) {
         violate("exact_dominance",
                 std::string("exact period ") + fmt(exact->period) +
-                    " worse than " + strategy_name(c.strategy) + " " +
+                    " worse than " + strategy_id_name(c.strategy) + " " +
                     fmt(c.period));
       }
     }
@@ -146,7 +145,7 @@ OracleReport cross_check(const core::MulticastProblem& problem,
   // oracle's own portfolio runs blind. Precomputed results passed to the
   // other overload keep whatever policy produced them.
   runtime::PortfolioOptions portfolio = options.portfolio;
-  portfolio.pruning = runtime::PruningPolicy::Off;
+  portfolio.pruning = PruningPolicy::Off;
   runtime::PortfolioResult result =
       runtime::solve_portfolio(problem, portfolio);
   return cross_check(problem, result, options);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -394,6 +395,79 @@ TEST(Service, PriorityRequestsStillSolveCorrectly) {
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
   }
+}
+
+TEST(Service, TraceDetailShapesTheResponseAndAggregateTraceSumsSolves) {
+  auto solve_at = [](TraceDetail detail, std::uint64_t seed) {
+    ServiceOptions options = with_threads(2);
+    options.trace = detail;
+    Service service(options);
+    Result<SolveResponse> result =
+        service.solve(request_for(random_problem(seed)));
+    EXPECT_TRUE(result.ok()) << result.status().to_string();
+    return result.ok() ? result->trace : SolveTrace{};
+  };
+
+  const SolveTrace off = solve_at(TraceDetail::Off, 40);
+  EXPECT_EQ(off.detail, TraceDetail::Off);
+  EXPECT_TRUE(off.checkpoint_hist.empty());
+  EXPECT_TRUE(off.timeline.empty());
+
+  const SolveTrace counters = solve_at(TraceDetail::Counters, 40);
+  EXPECT_EQ(counters.detail, TraceDetail::Counters);
+  ASSERT_EQ(counters.checkpoint_hist.size(), 16u);
+  std::uint64_t bucketed = 0;
+  for (std::uint64_t b : counters.checkpoint_hist) bucketed += b;
+  EXPECT_EQ(bucketed, counters.checkpoint_polls);
+  EXPECT_GT(counters.early_win.evaluated, 0u);
+  EXPECT_TRUE(counters.timeline.empty());
+
+  const SolveTrace timeline = solve_at(TraceDetail::Timeline, 40);
+  EXPECT_EQ(timeline.detail, TraceDetail::Timeline);
+  ASSERT_FALSE(timeline.timeline.empty());
+  const std::vector<StrategyId> ids = all_strategy_ids();
+  for (std::size_t i = 0; i < timeline.timeline.size(); ++i) {
+    const TraceTimelineEvent& e = timeline.timeline[i];
+    if (i > 0) {
+      EXPECT_LE(timeline.timeline[i - 1].t_us, e.t_us);
+    }
+    EXPECT_NE(std::find(ids.begin(), ids.end(), e.strategy), ids.end());
+  }
+
+  // The service-wide aggregate is the counter sum of every uncached solve.
+  Service service(with_threads(2));
+  EXPECT_EQ(service.aggregate_trace().detail, TraceDetail::Off);
+  Result<SolveResponse> a = service.solve(request_for(random_problem(41)));
+  Result<SolveResponse> b = service.solve(request_for(random_problem(42)));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_FALSE(a->provenance.from_cache || b->provenance.from_cache);
+  const SolveTrace total = service.aggregate_trace();
+  EXPECT_EQ(total.detail, TraceDetail::Counters);
+  auto expect_summed = [](const CutPredicateTrace& sum,
+                          const CutPredicateTrace& x,
+                          const CutPredicateTrace& y) {
+    EXPECT_EQ(sum.evaluated, x.evaluated + y.evaluated);
+    EXPECT_EQ(sum.hits, x.hits + y.hits);
+    EXPECT_EQ(sum.closest_miss, std::min(x.closest_miss, y.closest_miss));
+  };
+  expect_summed(total.sub_scatter, a->trace.sub_scatter, b->trace.sub_scatter);
+  expect_summed(total.early_win, a->trace.early_win, b->trace.early_win);
+  expect_summed(total.probe_poll, a->trace.probe_poll, b->trace.probe_poll);
+  expect_summed(total.reconstruct_skip, a->trace.reconstruct_skip,
+                b->trace.reconstruct_skip);
+  ASSERT_EQ(total.checkpoint_hist.size(), 16u);
+  for (std::size_t i = 0; i < total.checkpoint_hist.size(); ++i) {
+    EXPECT_EQ(total.checkpoint_hist[i],
+              a->trace.checkpoint_hist[i] + b->trace.checkpoint_hist[i]);
+  }
+  EXPECT_EQ(total.checkpoint_polls,
+            a->trace.checkpoint_polls + b->trace.checkpoint_polls);
+  EXPECT_DOUBLE_EQ(total.checkpoint_total_us,
+                   a->trace.checkpoint_total_us +
+                       b->trace.checkpoint_total_us);
+  EXPECT_EQ(total.checkpoint_max_us, std::max(a->trace.checkpoint_max_us,
+                                              b->trace.checkpoint_max_us));
+  EXPECT_TRUE(total.timeline.empty());
 }
 
 TEST(Service, EmptyBatchCompletesImmediately) {

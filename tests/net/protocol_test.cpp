@@ -405,6 +405,46 @@ TEST(Protocol, ResponseOutcomeCountMustFitThePayload) {
             std::string::npos);
 }
 
+TEST(Protocol, OutOfRangeEnumBytesAreMalformed) {
+  // A peer must not smuggle an out-of-range StrategyId, OutcomeState or
+  // TraceDetail through a decoder that later casts the byte.
+  WireResponse response;
+  response.request_id = 1;
+  response.outcomes.push_back(
+      {static_cast<std::uint8_t>(StrategyId::Exact),
+       static_cast<std::uint8_t>(OutcomeState::Pruned), 0.0, 0.0});
+  const Frame valid = must_extract(encode_solve_response(response));
+  ASSERT_TRUE(decode_solve_response(valid).ok());
+  // Payload layout: period (8 bytes), then the winner byte; the single
+  // outcome's strategy and state bytes open the last 18 bytes.
+  const std::size_t winner = 8;
+  const std::size_t outcome = valid.payload.size() - 18;
+  const struct {
+    std::size_t offset;
+    std::uint8_t byte;
+    const char* what;
+  } bad[] = {{winner, 200, "unknown winner strategy 200"},
+             {outcome, 77, "unknown outcome strategy 77"},
+             {outcome + 1, 9, "unknown outcome state 9"}};
+  for (const auto& b : bad) {
+    Frame frame = valid;
+    frame.payload[b.offset] = b.byte;
+    Result<WireResponse> decoded = decode_solve_response(frame);
+    ASSERT_FALSE(decoded.ok()) << b.what;
+    EXPECT_NE(decoded.status().message().find(b.what), std::string::npos)
+        << decoded.status().message();
+  }
+
+  Frame trace = must_extract(encode_trace_response(ServerWireTrace{}, 1));
+  ASSERT_TRUE(decode_trace_response(trace).ok());
+  trace.payload[0] = 9;  // the detail byte opens the payload
+  Result<ServerWireTrace> decoded = decode_trace_response(trace);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unknown trace detail 9"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
 TEST(Protocol, ErrorRoundTripAndStatusMapping) {
   Frame frame = must_extract(
       encode_error(13, 2, WireError::kOverloaded, "queue delay 80ms > 50ms"));

@@ -53,7 +53,7 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   for (const CandidateOutcome& c : r.candidates) {
     if (c.state != CandidateState::Certified) continue;
     EXPECT_LE(r.period, c.period + kTol)
-        << strategy_name(c.strategy) << " beats the winner, seed "
+        << strategy_id_name(c.strategy) << " beats the winner, seed "
         << GetParam();
     if (c.strategy == r.winner) {
       winner_seen = true;
@@ -70,7 +70,7 @@ TEST_P(PortfolioProperty, WinnerCertifiedAndDominant) {
   for (const CandidateOutcome& c : r.candidates) {
     if (c.state == CandidateState::Certified) {
       EXPECT_GE(c.period, lb.period - kTol)
-          << strategy_name(c.strategy) << " beats the LP lower bound, seed "
+          << strategy_id_name(c.strategy) << " beats the LP lower bound, seed "
           << GetParam();
     }
   }
@@ -154,7 +154,7 @@ TEST(Portfolio, InfeasibleInstanceFailsCleanly) {
 TEST(Portfolio, StrategySubsetRuns) {
   MulticastProblem p = random_problem(4);
   PortfolioOptions options;
-  options.strategies = {Strategy::Mcph, Strategy::MulticastUb};
+  options.strategies = {StrategyId::Mcph, StrategyId::MulticastUb};
   PortfolioResult r = solve_portfolio(p, options);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.candidates.size(), 2u);
@@ -163,7 +163,7 @@ TEST(Portfolio, StrategySubsetRuns) {
 TEST(Portfolio, ExactSkippedAboveNodeLimit) {
   MulticastProblem p = random_problem(5);
   PortfolioOptions options;
-  options.strategies = {Strategy::Exact};
+  options.strategies = {StrategyId::Exact};
   options.budget.exact_max_nodes = p.graph.node_count() - 1;
   PortfolioResult r = solve_portfolio(p, options);
   EXPECT_FALSE(r.ok);

@@ -271,8 +271,8 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   EXPECT_GT(pruned.pruning.strategies_pruned, 0);
   bool saw_dominated_platform = false;
   for (const CandidateOutcome& c : pruned.candidates) {
-    if ((c.strategy == Strategy::ReducedBroadcast ||
-         c.strategy == Strategy::AugmentedMulticast) &&
+    if ((c.strategy == StrategyId::ReducedBroadcast ||
+         c.strategy == StrategyId::AugmentedMulticast) &&
         c.state == CandidateState::Skipped &&
         c.skip_reason == SkipReason::Dominated) {
       saw_dominated_platform = true;
@@ -282,8 +282,8 @@ TEST(Pruning, ScatterDominanceSkipsThePlatformHeuristics) {
   // The blind run proves the cut sound on this instance: both platform
   // heuristics certified strictly worse than the winner.
   for (const CandidateOutcome& c : blind.candidates) {
-    if (c.strategy == Strategy::ReducedBroadcast ||
-        c.strategy == Strategy::AugmentedMulticast) {
+    if (c.strategy == StrategyId::ReducedBroadcast ||
+        c.strategy == StrategyId::AugmentedMulticast) {
       ASSERT_EQ(c.state, CandidateState::Certified);
       EXPECT_GT(c.period, blind.period);
     }
@@ -309,14 +309,14 @@ TEST(Pruning, EarlyWinStopsTheRaceOnAStar) {
   PortfolioResult result = solve_portfolio(problem, det);
   ASSERT_TRUE(result.ok);
   EXPECT_DOUBLE_EQ(result.period, 3.0);
-  EXPECT_EQ(result.winner, Strategy::Mcph);
+  EXPECT_EQ(result.winner, StrategyId::Mcph);
   EXPECT_GT(result.pruning.early_win_cancels, 0);
   for (const CandidateOutcome& c : result.candidates) {
     if (strategy_stage(c.strategy) > 0) {
       EXPECT_EQ(c.state, CandidateState::Skipped)
-          << strategy_name(c.strategy);
+          << strategy_id_name(c.strategy);
       EXPECT_EQ(c.skip_reason, SkipReason::EarlyWin)
-          << strategy_name(c.strategy);
+          << strategy_id_name(c.strategy);
     }
   }
 
@@ -380,7 +380,8 @@ TEST(Pruning, DominatedHeuristicsSkipTheirRemainingProbes) {
     // strategy into a Failed outcome.
     for (const CandidateOutcome& c : pruned.candidates) {
       if (c.prune.probes_skipped > 0) {
-        EXPECT_NE(c.state, CandidateState::Failed) << strategy_name(c.strategy);
+        EXPECT_NE(c.state, CandidateState::Failed)
+            << strategy_id_name(c.strategy);
       }
     }
   }
@@ -405,7 +406,7 @@ TEST(Pruning, KnownLowerBoundRidesTheRequestThroughTheEngine) {
   PortfolioResult result = engine.solve(problem, request);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.period, blind.period);
-  EXPECT_GE(result.pruning.proven_lb, blind.period);
+  EXPECT_GE(result.pruning.proven_lower_bound, blind.period);
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
   // one thread id and strictly ordered.
   PortfolioResult result = solve_portfolio(diamond_problem(), options);
   ASSERT_TRUE(result.ok);
-  const TraceSummary& trace = result.trace;
+  const SolveTrace& trace = result.trace;
   EXPECT_EQ(trace.detail, TraceDetail::Timeline);
   ASSERT_FALSE(trace.timeline.empty());
 
@@ -103,7 +103,7 @@ TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
   const std::uint32_t thread = trace.timeline.front().thread;
   double last_t = 0.0;
   std::set<int> slots_seen;
-  for (const TraceEvent& e : trace.timeline) {
+  for (const TraceTimelineEvent& e : trace.timeline) {
     EXPECT_EQ(e.thread, thread);
     EXPECT_GE(e.t_us, last_t);
     last_t = e.t_us;
@@ -113,26 +113,26 @@ TEST(Trace, SingleThreadTimelineIsAnOrderedLaunchToTerminalStory) {
 
   // Per slot: Launch first, exactly one terminal event, terminal last.
   for (int slot : slots_seen) {
-    std::vector<TraceEvent> events;
-    for (const TraceEvent& e : trace.timeline) {
+    std::vector<TraceTimelineEvent> events;
+    for (const TraceTimelineEvent& e : trace.timeline) {
       if (e.slot == slot) events.push_back(e);
     }
     ASSERT_FALSE(events.empty());
     EXPECT_EQ(events.front().kind, TraceEventKind::Launch) << "slot " << slot;
     EXPECT_TRUE(is_terminal(events.back().kind)) << "slot " << slot;
     int terminals = 0;
-    for (const TraceEvent& e : events) {
+    for (const TraceTimelineEvent& e : events) {
       if (is_terminal(e.kind)) ++terminals;
     }
     EXPECT_EQ(terminals, 1) << "slot " << slot;
     // Every event of one slot names the same strategy.
-    for (const TraceEvent& e : events) {
+    for (const TraceTimelineEvent& e : events) {
       EXPECT_EQ(e.strategy, events.front().strategy) << "slot " << slot;
     }
   }
 
   // The race evaluated the start-of-strategy cut predicates.
-  EXPECT_GT(trace.predicate(CutPredicate::EarlyWin).evaluated, 0u);
+  EXPECT_GT(trace.early_win.evaluated, 0u);
 
   // Two inline runs produce the same event *sequence* (kinds, slots,
   // strategies — timestamps differ): determinism at 1 thread.
@@ -167,16 +167,16 @@ TEST(Trace, EightThreadHammerLosesNothing) {
         tracer.checkpoint_gap(1.0 + static_cast<double>(i % 7));
       }
       // event() is single-writer per slot; each thread owns slot t.
-      tracer.event(TraceEventKind::Launch, t, static_cast<std::uint8_t>(t),
+      tracer.event(TraceEventKind::Launch, t, static_cast<StrategyId>(t),
                    0.0);
-      tracer.event(TraceEventKind::Certified, t,
-                   static_cast<std::uint8_t>(t), 42.0);
+      tracer.event(TraceEventKind::Certified, t, static_cast<StrategyId>(t),
+                   42.0);
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  TraceSummary s = tracer.summary();
-  const PredicateTrace& poll = s.predicate(CutPredicate::ProbePoll);
+  SolveTrace s = tracer.summary();
+  const CutPredicateTrace& poll = s.probe_poll;
   EXPECT_EQ(poll.evaluated, static_cast<std::uint64_t>(kThreads) * kOps);
   EXPECT_EQ(poll.hits, static_cast<std::uint64_t>(kThreads) * (kOps / 4));
   EXPECT_DOUBLE_EQ(poll.closest_miss, 2.0);
@@ -194,7 +194,7 @@ TEST(Trace, EightThreadHammerLosesNothing) {
   ASSERT_EQ(s.timeline.size(), static_cast<std::size_t>(2 * kThreads));
   std::vector<int> launches(kThreads, 0);
   std::vector<int> certs(kThreads, 0);
-  for (const TraceEvent& e : s.timeline) {
+  for (const TraceTimelineEvent& e : s.timeline) {
     ASSERT_GE(e.slot, 0);
     ASSERT_LT(e.slot, kThreads);
     if (e.kind == TraceEventKind::Launch) ++launches[e.slot];
@@ -212,13 +212,13 @@ TEST(Trace, EightThreadHammerLosesNothing) {
 TEST(Trace, SlotOverflowDropsInsteadOfCorrupting) {
   Tracer tracer(TraceDetail::Timeline, 1);
   for (int i = 0; i < Tracer::kMaxEventsPerSlot + 3; ++i) {
-    tracer.event(TraceEventKind::FirstLpCheckpoint, 0, 0,
+    tracer.event(TraceEventKind::FirstLpCheckpoint, 0, StrategyId::Mcph,
                  static_cast<double>(i));
   }
   // Out-of-range slots are ignored, not UB.
-  tracer.event(TraceEventKind::Launch, -1, 0, 0.0);
-  tracer.event(TraceEventKind::Launch, 7, 0, 0.0);
-  TraceSummary s = tracer.summary();
+  tracer.event(TraceEventKind::Launch, -1, StrategyId::Mcph, 0.0);
+  tracer.event(TraceEventKind::Launch, 7, StrategyId::Mcph, 0.0);
+  SolveTrace s = tracer.summary();
   ASSERT_EQ(s.timeline.size(),
             static_cast<std::size_t>(Tracer::kMaxEventsPerSlot));
   for (int i = 0; i < Tracer::kMaxEventsPerSlot; ++i) {
@@ -237,10 +237,10 @@ TEST(Trace, DisabledTracerNeverTouchesTheHeap) {
     for (int i = 0; i < 1000; ++i) {
       off.predicate(CutPredicate::EarlyWin, i % 2 == 0, 0.5);
       off.checkpoint_gap(3.0);
-      off.event(TraceEventKind::Launch, 0, 0, 0.0);
+      off.event(TraceEventKind::Launch, 0, StrategyId::Mcph, 0.0);
     }
     EXPECT_EQ(off.now_us(), 0.0);
-    TraceSummary s = off.summary();
+    SolveTrace s = off.summary();
     EXPECT_EQ(s.detail, TraceDetail::Off);
     EXPECT_EQ(s.checkpoint_polls, 0u);
     EXPECT_TRUE(s.timeline.empty());
@@ -251,22 +251,28 @@ TEST(Trace, DisabledTracerNeverTouchesTheHeap) {
 
 TEST(Trace, CountersDetailIsHeapFreeToo) {
   // Counters is the always-on production default, so it must not allocate
-  // either — construction, recording, and the summary all live on the
-  // stack (the summary's timeline vector stays empty below Timeline).
+  // either — construction and recording live on the stack. The summary
+  // allocates exactly once: the 16-bucket histogram of the SolveTrace it
+  // returns (its timeline vector stays empty below Timeline).
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   {
     Tracer tracer(TraceDetail::Counters, 8);
     for (int i = 0; i < 1000; ++i) {
       tracer.predicate(CutPredicate::ProbePoll, i % 3 == 0, 1.0);
       tracer.checkpoint_gap(2.0);
-      tracer.event(TraceEventKind::Launch, 0, 0, 0.0);  // no-op below Timeline
+      // no-op below Timeline
+      tracer.event(TraceEventKind::Launch, 0, StrategyId::Mcph, 0.0);
     }
-    TraceSummary s = tracer.summary();
-    EXPECT_EQ(s.predicate(CutPredicate::ProbePoll).evaluated, 1000u);
+    const std::uint64_t recorded =
+        g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(recorded, before) << "a Counters-level tracer allocated";
+    SolveTrace s = tracer.summary();
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), recorded + 1)
+        << "the summary allocated more than its histogram";
+    EXPECT_EQ(s.probe_poll.evaluated, 1000u);
+    EXPECT_EQ(s.checkpoint_hist.size(), 16u);
     EXPECT_TRUE(s.timeline.empty());
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "a Counters-level tracer allocated";
 }
 
 }  // namespace

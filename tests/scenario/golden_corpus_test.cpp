@@ -67,7 +67,7 @@ TEST(GoldenCorpus, BestCertifiedPeriodsMatchManifest) {
     // across compilers; any real regression is percent-scale.
     EXPECT_NEAR(result.period, entry.expected_period,
                 1e-4 * entry.expected_period)
-        << entry.file << " (winner " << strategy_name(result.winner) << ")";
+        << entry.file << " (winner " << strategy_id_name(result.winner) << ")";
   }
 }
 

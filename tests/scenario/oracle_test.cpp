@@ -16,15 +16,14 @@ namespace pmcast::scenario {
 namespace {
 
 using runtime::CandidateState;
-using runtime::Strategy;
 
 /// Tree heuristics + scatter bound + exact: everything needed for the
 /// LB <= exact <= tree-heuristic ordering, at milliseconds per instance.
 OracleOptions cheap_options() {
   OracleOptions options;
-  options.portfolio.strategies = {Strategy::Mcph, Strategy::PrunedDijkstra,
-                                  Strategy::Kmb, Strategy::MulticastUb,
-                                  Strategy::Exact};
+  options.portfolio.strategies = {StrategyId::Mcph, StrategyId::PrunedDijkstra,
+                                  StrategyId::Kmb, StrategyId::MulticastUb,
+                                  StrategyId::Exact};
   return options;
 }
 

@@ -80,7 +80,9 @@ void print_predicate(const char* name,
 }
 
 void print_trace(const pmcast::net::ServerWireTrace& t) {
-  std::printf("trace detail        %u\n", static_cast<unsigned>(t.detail));
+  std::printf("trace detail        %s\n",
+              pmcast::trace_detail_name(
+                  static_cast<pmcast::TraceDetail>(t.detail)));
   std::printf("cut predicates\n");
   print_predicate("sub_scatter", t.sub_scatter);
   print_predicate("early_win", t.early_win);
