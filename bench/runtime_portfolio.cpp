@@ -262,6 +262,18 @@ struct PruningArm {
   std::vector<StrategyId> winners;
 };
 
+std::vector<SolveRequest> make_requests(
+    const std::vector<core::MulticastProblem>& batch) {
+  std::vector<SolveRequest> requests;
+  requests.reserve(batch.size());
+  for (const auto& problem : batch) {
+    SolveRequest request;
+    request.problem = problem;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
                            PruningPolicy policy, int threads) {
   runtime::EngineOptions options;
@@ -271,8 +283,10 @@ PruningArm run_pruning_arm(const std::vector<core::MulticastProblem>& corpus,
   runtime::PortfolioEngine engine(options);
 
   PruningArm arm;
+  std::vector<SolveRequest> requests = make_requests(corpus);
   BenchClock::time_point t0 = BenchClock::now();
-  std::vector<runtime::PortfolioResult> results = engine.solve_batch(corpus);
+  std::vector<runtime::PortfolioResult> results =
+      engine.solve_batch(std::move(requests));
   arm.wall_ms = ms_since(t0);
   for (const runtime::PortfolioResult& r : results) {
     arm.periods.push_back(r.ok ? r.period : kInfinity);
@@ -368,8 +382,9 @@ TraceOverheadReport run_trace_overhead(
       options.cache_capacity = 0;
       options.portfolio.trace = detail;
       runtime::PortfolioEngine engine(options);
+      std::vector<SolveRequest> requests = make_requests(corpus);
       BenchClock::time_point t0 = BenchClock::now();
-      engine.solve_batch(corpus);
+      engine.solve_batch(std::move(requests));
       best = std::min(best, ms_since(t0));
     }
     return best;
@@ -416,18 +431,6 @@ double hammer_cache(runtime::ResultCache& cache, int threads, int ops) {
   }
   for (auto& w : workers) w.join();
   return ms_since(t0);
-}
-
-std::vector<SolveRequest> make_requests(
-    const std::vector<core::MulticastProblem>& batch) {
-  std::vector<SolveRequest> requests;
-  requests.reserve(batch.size());
-  for (const auto& problem : batch) {
-    SolveRequest request;
-    request.problem = problem;
-    requests.push_back(std::move(request));
-  }
-  return requests;
 }
 
 /// -------- lp_scale phase: sparse LP + column-generation scaling -------

@@ -70,7 +70,7 @@ int main() {
 
   // Generate, and double-check byte-determinism while at it.
   std::vector<ScenarioInstance> instances;
-  std::vector<core::MulticastProblem> batch;
+  std::vector<SolveRequest> batch;
   int non_deterministic = 0;
   for (const ScenarioSpec& spec : specs) {
     ScenarioInstance instance = generate_scenario(spec);
@@ -82,7 +82,9 @@ int main() {
                   instance.name.c_str());
       ++non_deterministic;
     }
-    batch.push_back(instance.problem);
+    SolveRequest request;
+    request.problem = instance.problem;
+    batch.push_back(std::move(request));
     instances.push_back(std::move(instance));
   }
 
@@ -93,7 +95,7 @@ int main() {
   double t0 = std::chrono::duration<double, std::milli>(
                   runtime::Clock::now().time_since_epoch())
                   .count();
-  std::vector<runtime::PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<runtime::PortfolioResult> results = engine.solve_batch(std::move(batch));
   double batch_ms = std::chrono::duration<double, std::milli>(
                         runtime::Clock::now().time_since_epoch())
                         .count() -

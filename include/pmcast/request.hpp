@@ -1,11 +1,10 @@
 #pragma once
 /// \file pmcast/request.hpp
-/// SolveRequest — the one per-request envelope of the v1 API. Everything
-/// that used to be scattered across runtime::RequestOptions (deadline,
-/// cancellation) and runtime::SolveBudget (deadline again, exact-solver
-/// limits) plus the previously engine-global strategy set is folded into
-/// this single type; budgets, priorities and strategy routing are request
-/// attributes, not engine knobs.
+/// SolveRequest — the one per-request envelope, spoken by the Service
+/// facade and by runtime::PortfolioEngine alike: problem, deadline,
+/// exact-solver limits, priority, strategy allowlist, cancellation,
+/// pruning override and a known lower bound. Budgets, priorities and
+/// strategy routing are request attributes, not engine knobs.
 
 #include <optional>
 #include <vector>

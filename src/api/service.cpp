@@ -63,8 +63,8 @@ struct BatchState {
   FacadeClock::time_point start;
   std::vector<RequestMeta> meta;
   std::vector<std::size_t> engine_to_facade;
-  runtime::SolveTicket ticket;  ///< set under `mutex` after engine dispatch
-  bool cancel_requested = false;
+  /// Handed to the engine with the batch; SolveBatch::cancel() stops it.
+  runtime::CancellationToken batch_cancel;
 
   void deliver(std::size_t index, Result<SolveResponse> result) {
     std::optional<Result<SolveResponse>> callback_copy;
@@ -95,9 +95,9 @@ struct BatchState {
     cv.notify_all();
   }
 
-  bool was_cancelled(std::size_t index) {
-    std::lock_guard<std::mutex> lock(mutex);
-    return cancel_requested || meta[index].cancel.stop_requested();
+  bool was_cancelled(std::size_t index) const {
+    return batch_cancel.stop_requested() ||
+           meta[index].cancel.stop_requested();
   }
 };
 
@@ -108,18 +108,16 @@ using detail::BatchState;
 namespace {
 
 /// Translate a finished portfolio run into the public result: a certified
-/// response, or a classified Status when nothing certified.
-Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
+/// response, or a classified Status when nothing certified. Strings and the
+/// trace are moved out of \p run.
+Result<SolveResponse> to_response(runtime::PortfolioResult&& run,
                                   const RequestMeta& meta, bool cancelled,
                                   double total_ms) {
   if (!run.ok) {
     bool budget_starved = false;
     std::string first_failure;
     for (const runtime::CandidateOutcome& c : run.candidates) {
-      if (c.skip_reason == runtime::SkipReason::DeadlineExpired ||
-          c.skip_reason == runtime::SkipReason::Cancelled) {
-        budget_starved = true;
-      }
+      if (runtime::is_budget_cut(c.skip_reason)) budget_starved = true;
       if (first_failure.empty() &&
           c.state == runtime::CandidateState::Failed) {
         first_failure =
@@ -153,7 +151,7 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
   response.period = run.period;
   response.winner = run.winner;
   response.outcomes.reserve(run.candidates.size());
-  for (const runtime::CandidateOutcome& c : run.candidates) {
+  for (runtime::CandidateOutcome& c : run.candidates) {
     StrategyOutcome out;
     out.strategy = c.strategy;
     out.state = to_public(c.state, c.skip_reason);
@@ -169,7 +167,11 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
     out.lp.master_iterations = c.lp.master_iterations;
     out.lp.pricing_ms = c.lp.pricing_ms;
     out.prune = c.prune;
-    out.detail = c.detail;
+    if (c.strategy == run.winner &&
+        c.state == runtime::CandidateState::Certified) {
+      response.certificate.winner_detail = c.detail;
+    }
+    out.detail = std::move(c.detail);
     switch (out.state) {
       case OutcomeState::Certified:
         ++response.certificate.certified;
@@ -185,13 +187,9 @@ Result<SolveResponse> to_response(const runtime::PortfolioResult& run,
         break;
     }
     response.outcomes.push_back(std::move(out));
-    if (c.strategy == run.winner &&
-        c.state == runtime::CandidateState::Certified) {
-      response.certificate.winner_detail = c.detail;
-    }
   }
   response.pruning = run.pruning;
-  response.trace = run.trace;
+  response.trace = std::move(run.trace);
   response.provenance.from_cache = run.from_cache;
   response.provenance.coalesced = run.coalesced;
   response.timing.solve_ms = run.from_cache ? 0.0 : run.elapsed_ms;
@@ -277,14 +275,7 @@ bool SolveBatch::wait_all_for(double timeout_ms) {
 }
 
 void SolveBatch::cancel() {
-  if (state_ == nullptr) return;
-  runtime::SolveTicket ticket;
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancel_requested = true;
-    ticket = state_->ticket;
-  }
-  ticket.cancel();
+  if (state_ != nullptr) state_->batch_cancel.request_stop();
 }
 
 bool SolveBatch::ready(std::size_t index) const {
@@ -352,10 +343,8 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
   state->start = FacadeClock::now();
   state->meta.resize(n);
 
-  std::vector<core::MulticastProblem> problems;
-  std::vector<runtime::RequestOptions> engine_requests;
+  std::vector<SolveRequest> engine_requests;
   std::vector<std::pair<std::size_t, Status>> rejected;
-  problems.reserve(n);
   engine_requests.reserve(n);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -381,19 +370,8 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
       continue;
     }
 
-    runtime::RequestOptions ro;
-    ro.budget.deadline_ms = req.deadline_ms;
-    ro.budget.exact_max_nodes = req.limits.exact_max_nodes;
-    ro.budget.exact_max_trees = req.limits.exact_max_trees;
-    ro.budget.colgen_max_nodes = req.limits.colgen_max_nodes;
-    ro.strategies = std::move(req.strategies);
-    ro.priority = req.priority;
-    ro.cancel = req.cancel;
-    ro.pruning = req.pruning;
-    ro.known_lower_bound = req.known_lower_bound;
-    engine_requests.push_back(std::move(ro));
     state->engine_to_facade.push_back(i);
-    problems.push_back(std::move(req.problem));
+    engine_requests.push_back(std::move(req));
   }
 
   // Rejections resolve first, on the submitting thread, in index order —
@@ -402,20 +380,16 @@ SolveBatch Service::submit_batch(std::vector<SolveRequest> requests,
     state->deliver(index, std::move(status));
   }
 
-  runtime::SolveTicket ticket = impl_->engine.submit_batch(
-      problems, engine_requests,
-      [state](std::size_t engine_index,
-              const runtime::PortfolioResult& result) {
+  impl_->engine.submit_batch(
+      std::move(engine_requests),
+      [state](std::size_t engine_index, runtime::PortfolioResult&& result) {
         std::size_t index = state->engine_to_facade[engine_index];
         bool cancelled = state->was_cancelled(index);
-        state->deliver(index,
-                       to_response(result, state->meta[index], cancelled,
-                                   ms_since(state->start)));
-      });
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->ticket = std::move(ticket);
-  }
+        state->deliver(index, to_response(std::move(result),
+                                          state->meta[index], cancelled,
+                                          ms_since(state->start)));
+      },
+      state->batch_cancel);
   return SolveBatch(state);
 }
 

@@ -38,8 +38,8 @@ class CancellationToken {
 /// default (unlimited wall clock, bounded exact solver); inherit() is the
 /// *request* default, where every field defers to the engine's budget —
 /// resolve() merges the two. This is the single carrier of deadline and
-/// exact limits; per-request knobs ride in on RequestOptions::budget
-/// rather than duplicating fields (see engine.hpp).
+/// exact limits inside the runtime; the engine turns a SolveRequest's
+/// deadline_ms and limits into one in a single place (engine.cpp).
 struct SolveBudget {
   /// Explicit "no deadline" sentinel for deadline_ms. Distinct from 0.0,
   /// which on a request budget means "inherit the engine default": a

@@ -52,9 +52,6 @@ class ResultCache {
   /// entries always use one shard (exact LRU, and a per-shard capacity of
   /// a handful of entries would make eviction behaviour surprising).
   static constexpr std::size_t kMaxAutoShards = 16;
-  /// Deprecated alias (pre-auto-scaling name); the auto-pick no longer
-  /// uses a fixed 16 — see the constructor.
-  static constexpr std::size_t kDefaultShards = kMaxAutoShards;
   static constexpr std::size_t kShardThreshold = 256;
 
   /// \p capacity = max cached results across all shards; 0 disables
@@ -71,8 +68,10 @@ class ResultCache {
 
   /// Insert (or refresh) \p result under \p key, evicting the least
   /// recently used entry of the key's shard when that shard is full.
-  /// Uncertified results are not cached: a result that failed for budget
-  /// reasons should be retried, not remembered.
+  /// Uncertified results are not cached. The engine also never puts a
+  /// partial answer — a narrowed strategy set, other exact limits, or a
+  /// candidate cut by a deadline or cancellation — so every hit is the
+  /// full portfolio's answer.
   void put(const InstanceKey& key, const PortfolioResult& result);
 
   CacheStats stats() const;

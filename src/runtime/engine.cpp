@@ -47,6 +47,18 @@ std::vector<std::vector<std::size_t>> plan_stages(
   return stages;
 }
 
+/// The one place a request's deadline and solver limits become a budget:
+/// their sentinels (0 / negative) defer to the engine's \p base.
+SolveBudget request_budget(const SolveRequest& request,
+                           const SolveBudget& base) {
+  SolveBudget budget = SolveBudget::inherit();
+  budget.deadline_ms = request.deadline_ms;
+  budget.exact_max_nodes = request.limits.exact_max_nodes;
+  budget.exact_max_trees = request.limits.exact_max_trees;
+  budget.colgen_max_nodes = request.limits.colgen_max_nodes;
+  return budget.resolve(base);
+}
+
 /// Solve Multicast-LB of \p problem (deadline-checkpointed through
 /// \p guard) and publish the value as \p incumbent's proven lower bound —
 /// the one extra LP a pruning race pays. Returns the simplex iterations
@@ -119,7 +131,7 @@ namespace detail {
 /// the last stage is done.
 struct EngineGroup {
   std::size_t leader = 0;
-  core::MulticastProblem problem;  // copy: tasks outlive the caller's span
+  core::MulticastProblem problem;  // moved in from the leader's request
   InstanceKey key;
   std::vector<std::size_t> followers;
   PortfolioOptions options;
@@ -143,88 +155,13 @@ struct EngineGroup {
   std::unique_ptr<Tracer> tracer;
 };
 
+/// What the tasks of one batch share. Results are not stored here: each
+/// one is moved into the callback as its group finishes.
 struct EngineBatchState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<PortfolioResult> results;
-  std::vector<char> ready;
-  std::size_t delivered = 0;
-
-  /// Serializes user callbacks; never held together with `mutex`.
-  std::mutex callback_mutex;
   BatchCallback on_result;
-
   CancellationToken batch_cancel;
   Clock::time_point start;
   std::vector<std::unique_ptr<EngineGroup>> groups;
-  ResultCache* cache = nullptr;
-  /// Engine-wide cumulative trace (both owned by the engine, which
-  /// outlives every task of this batch).
-  SolveTrace* engine_trace = nullptr;
-  std::mutex* engine_trace_mutex = nullptr;
-
-  /// Publish one request's result and fire the callback. The callback
-  /// gets a copy so a concurrent result()/take_all() cannot race it;
-  /// `delivered` is bumped only after the callback returns, so wait()
-  /// also waits for callbacks.
-  void deliver(std::size_t index, PortfolioResult result) {
-    PortfolioResult callback_copy;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      results[index] = std::move(result);
-      ready[index] = 1;
-      if (on_result) callback_copy = results[index];
-    }
-    cv.notify_all();
-    if (on_result) {
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      on_result(index, callback_copy);
-    }
-    BatchCallback retired;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      ++delivered;
-      if (delivered == results.size()) {
-        // Last delivery: the callback can never fire again. Drop it now —
-        // a caller-supplied callback may (indirectly) own the ticket that
-        // owns this state, and that reference cycle would leak the batch
-        // once the caller's handles are gone. Every deliverer bumps
-        // `delivered` only after its callback phase, so nobody can still
-        // be about to invoke it.
-        retired = std::move(on_result);
-        on_result = nullptr;
-      }
-    }
-    cv.notify_all();
-    // `retired` (and anything it captured) is destroyed here, outside the
-    // locks; the running task's shared_ptr keeps this state alive.
-  }
-
-  void finish_group(EngineGroup& group) {
-    PortfolioResult result = assemble_result(std::move(group.outcomes));
-    result.pruning.lb_probe_iterations = group.lb_probe_iterations;
-    result.pruning.proven_lower_bound = group.incumbent.proven_lb();
-    if (group.tracer != nullptr) {
-      result.trace = group.tracer->summary();
-      if (engine_trace != nullptr) {
-        std::lock_guard<std::mutex> lock(*engine_trace_mutex);
-        merge(*engine_trace, result.trace);
-      }
-    }
-    result.elapsed_ms = ms_since(start);
-    if (cache != nullptr) cache->put(group.key, result);
-    // Leader first, then followers — the order the doc comment promises.
-    if (group.followers.empty()) {
-      deliver(group.leader, std::move(result));
-      return;
-    }
-    deliver(group.leader, result);
-    for (std::size_t f : group.followers) {
-      PortfolioResult copy = result;
-      copy.coalesced = true;
-      deliver(f, std::move(copy));
-    }
-  }
 };
 
 }  // namespace detail
@@ -232,107 +169,29 @@ struct EngineBatchState {
 using detail::EngineBatchState;
 using detail::EngineGroup;
 
-std::size_t SolveTicket::size() const {
-  return state_ == nullptr ? 0 : state_->results.size();
-}
-
-std::size_t SolveTicket::completed() const {
-  if (state_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->delivered;
-}
-
-bool SolveTicket::done() const {
-  if (state_ == nullptr) return true;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->delivered == state_->results.size();
-}
-
-void SolveTicket::wait() {
-  if (state_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [&] {
-    return state_->delivered == state_->results.size();
-  });
-}
-
-bool SolveTicket::wait_for(double timeout_ms) {
-  if (state_ == nullptr) return true;
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  return state_->cv.wait_for(
-      lock, std::chrono::duration<double, std::milli>(timeout_ms),
-      [&] { return state_->delivered == state_->results.size(); });
-}
-
-void SolveTicket::cancel() {
-  if (state_ != nullptr) state_->batch_cancel.request_stop();
-}
-
-bool SolveTicket::ready(std::size_t index) const {
-  if (state_ == nullptr || index >= state_->results.size()) return false;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->ready[index] != 0;
-}
-
-PortfolioResult SolveTicket::result(std::size_t index) const {
-  PortfolioResult out;
-  if (state_ == nullptr || index >= state_->results.size()) return out;
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [&] { return state_->ready[index] != 0; });
-  return state_->results[index];
-}
-
-std::vector<PortfolioResult> SolveTicket::take_all() {
-  wait();
-  if (state_ == nullptr) return {};
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  // Move element-wise, keeping results.size() intact: done()/wait() on
-  // this or a copied ticket must stay true (delivered == size), they
-  // just observe moved-from values after a take.
-  std::vector<PortfolioResult> out(state_->results.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::move(state_->results[i]);
-  }
-  return out;
-}
-
 PortfolioEngine::PortfolioEngine(EngineOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity),
       pool_(options_.threads) {}
 
-SolveTicket PortfolioEngine::submit_batch(
-    std::span<const core::MulticastProblem> problems,
-    std::span<const RequestOptions> requests, BatchCallback on_result) {
+void PortfolioEngine::submit_batch(std::vector<SolveRequest> requests,
+                                   BatchCallback on_result,
+                                   CancellationToken batch_cancel) {
   auto state = std::make_shared<EngineBatchState>();
-  const std::size_t n = problems.size();
-  state->results.resize(n);
-  state->ready.assign(n, 0);
-  state->start = Clock::now();
-  state->cache = &cache_;
-  state->engine_trace = &trace_;
-  state->engine_trace_mutex = &trace_mutex_;
-  // An empty batch never delivers, so never store the callback for one —
-  // a callback that (indirectly) owns the ticket would leak the state.
-  if (n == 0) return SolveTicket(state);
   state->on_result = std::move(on_result);
-
-  // Requests beyond the span's end get defaults, so a shorter (or empty)
-  // span is safe rather than an out-of-bounds read.
-  const RequestOptions default_request;
-  auto request_of = [&](std::size_t i) -> const RequestOptions& {
-    return i < requests.size() ? requests[i] : default_request;
-  };
+  state->batch_cancel = std::move(batch_cancel);
+  state->start = Clock::now();
 
   // Steps 1+2: cache probe (hits delivered immediately, in batch order),
   // then coalesce the remaining misses by canonical key. Leaders keep
   // batch order, which makes coalescing deterministic.
   std::unordered_map<InstanceKey, EngineGroup*> group_of_key;
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::MulticastProblem& p = problems[i];
-    InstanceKey key = instance_key(p.graph, p.source, p.targets);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SolveRequest& req = requests[i];
+    InstanceKey key = instance_key(req.problem.graph, req.problem.source,
+                                   req.problem.targets);
     if (auto hit = cache_.get(key)) {
-      state->deliver(i, std::move(*hit));
+      state->on_result(i, std::move(*hit));
       continue;
     }
     auto it = group_of_key.find(key);
@@ -344,11 +203,8 @@ SolveTicket PortfolioEngine::submit_batch(
       // groups, and a follower that asked for a later deadline — or
       // explicitly for none (SolveBudget::kNoDeadline) — must not be
       // starved by a deadline-bound leader.
-      const RequestOptions& follower = request_of(i);
-      it->second->priority =
-          std::max(it->second->priority, follower.priority);
-      SolveBudget fbudget =
-          follower.budget.resolve(options_.portfolio.budget);
+      it->second->priority = std::max(it->second->priority, req.priority);
+      SolveBudget fbudget = request_budget(req, options_.portfolio.budget);
       Clock::time_point fdeadline = fbudget.deadline_from(state->start);
       if (fdeadline > it->second->guard.deadline) {
         it->second->guard.deadline = fdeadline;
@@ -358,12 +214,13 @@ SolveTicket PortfolioEngine::submit_batch(
     }
     auto group = std::make_unique<EngineGroup>();
     group->leader = i;
-    group->problem = p;
+    group->problem = std::move(req.problem);
     group->key = key;
     group->options = options_.portfolio;
-    const RequestOptions& req = request_of(i);
-    group->options.budget = req.budget.resolve(options_.portfolio.budget);
-    if (!req.strategies.empty()) group->options.strategies = req.strategies;
+    group->options.budget = request_budget(req, options_.portfolio.budget);
+    if (!req.strategies.empty()) {
+      group->options.strategies = std::move(req.strategies);
+    }
     if (req.pruning.has_value()) group->options.pruning = *req.pruning;
     if (req.known_lower_bound > group->options.known_lower_bound) {
       group->options.known_lower_bound = req.known_lower_bound;
@@ -381,7 +238,7 @@ SolveTicket PortfolioEngine::submit_batch(
                                                group->strategies.size());
     }
 
-    if (!p.feasible()) {
+    if (!group->problem.feasible()) {
       // No strategy can reach every target: fail them all without racing.
       // The empty stage plan makes dispatch deliver the group at once.
       for (std::size_t s = 0; s < group->strategies.size(); ++s) {
@@ -418,12 +275,11 @@ SolveTicket PortfolioEngine::submit_batch(
                    });
   for (EngineGroup* group : dispatch) {
     if (group->stages.empty()) {
-      state->finish_group(*group);  // infeasible: nothing to race
+      finish_group(*state, *group);  // infeasible: nothing to race
     } else {
       dispatch_stage(state, group);
     }
   }
-  return SolveTicket(state);
 }
 
 void PortfolioEngine::dispatch_stage(
@@ -488,7 +344,46 @@ void PortfolioEngine::complete_stage_task(
     dispatch_stage(state, group);
     return;
   }
-  state->finish_group(*group);
+  finish_group(*state, *group);
+}
+
+void PortfolioEngine::finish_group(EngineBatchState& state,
+                                   EngineGroup& group) {
+  PortfolioResult result = assemble_result(std::move(group.outcomes));
+  result.pruning.lb_probe_iterations = group.lb_probe_iterations;
+  result.pruning.proven_lower_bound = group.incumbent.proven_lb();
+  if (group.tracer != nullptr) {
+    result.trace = group.tracer->summary();
+    std::lock_guard<std::mutex> lock(trace_mutex_);
+    merge(trace_, result.trace);
+  }
+  result.elapsed_ms = ms_since(state.start);
+  // Only a complete run of the engine's own portfolio is the instance's
+  // answer: a narrowed strategy set, other exact/CG limits or a budget-cut
+  // candidate can certify a worse period, which the cache would then serve
+  // to every later full request.
+  const PortfolioOptions& full = options_.portfolio;
+  const SolveBudget& budget = group.options.budget;
+  const bool cacheable =
+      group.options.strategies == full.strategies &&
+      budget.exact_max_nodes == full.budget.exact_max_nodes &&
+      budget.exact_max_trees == full.budget.exact_max_trees &&
+      budget.colgen_max_nodes == full.budget.colgen_max_nodes &&
+      std::none_of(result.candidates.begin(), result.candidates.end(),
+                   [](const CandidateOutcome& c) {
+                     return is_budget_cut(c.skip_reason);
+                   });
+  if (cacheable) cache_.put(group.key, result);
+  // Leader first, then followers — the order the doc comment promises.
+  PortfolioResult follower_copy;
+  if (!group.followers.empty()) {
+    follower_copy = result;
+    follower_copy.coalesced = true;
+  }
+  state.on_result(group.leader, std::move(result));
+  for (std::size_t f : group.followers) {
+    state.on_result(f, PortfolioResult(follower_copy));
+  }
 }
 
 SolveTrace PortfolioEngine::trace_summary() const {
@@ -496,16 +391,29 @@ SolveTrace PortfolioEngine::trace_summary() const {
   return trace_;
 }
 
-PortfolioResult PortfolioEngine::solve(const core::MulticastProblem& problem,
-                                       const RequestOptions& request) {
-  auto results = solve_batch({&problem, 1}, {&request, 1});
-  return std::move(results.front());
+PortfolioResult PortfolioEngine::solve(SolveRequest request) {
+  std::vector<SolveRequest> batch;
+  batch.push_back(std::move(request));
+  return std::move(solve_batch(std::move(batch)).front());
 }
 
 std::vector<PortfolioResult> PortfolioEngine::solve_batch(
-    std::span<const core::MulticastProblem> problems,
-    std::span<const RequestOptions> requests) {
-  return submit_batch(problems, requests).take_all();
+    std::vector<SolveRequest> requests) {
+  std::vector<PortfolioResult> results(requests.size());
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t remaining = requests.size();
+  submit_batch(std::move(requests),
+               [&](std::size_t index, PortfolioResult&& result) {
+                 std::lock_guard<std::mutex> lock(mutex);
+                 results[index] = std::move(result);
+                 // Notify under the lock: the waiter cannot return (and
+                 // destroy cv) before the notification is done.
+                 if (--remaining == 0) cv.notify_all();
+               });
+  std::unique_lock<std::mutex> lock(mutex);
+  cv.wait(lock, [&] { return remaining == 0; });
+  return results;
 }
 
 PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
@@ -516,9 +424,10 @@ PortfolioResult solve_portfolio(const core::MulticastProblem& problem,
   engine_options.cache_capacity = 0;
   engine_options.portfolio = options;
   PortfolioEngine engine(std::move(engine_options));
-  RequestOptions request;
+  SolveRequest request;
+  request.problem = problem;
   request.cancel = std::move(cancel);
-  return engine.solve(problem, request);
+  return engine.solve(std::move(request));
 }
 
 }  // namespace pmcast::runtime

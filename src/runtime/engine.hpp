@@ -2,11 +2,12 @@
 /// \file engine.hpp
 /// The batch-serving layer of the runtime: a PortfolioEngine owns the
 /// work-stealing pool and the LRU result cache and exposes an async-first
-/// submission surface — submit_batch() streams each request's result
-/// through a callback as it certifies — plus blocking
-/// solve()/solve_batch() conveniences layered on top. It is the one driver
-/// of the portfolio race: solve_portfolio() below is a blocking call on an
-/// inline, cache-less engine.
+/// submission surface — submit_batch() hands each request's result to a
+/// callback as it certifies — plus blocking solve()/solve_batch()
+/// conveniences layered on top. Requests are the public pmcast::SolveRequest;
+/// the engine stores no results, it moves each one into the callback. It is
+/// the one driver of the portfolio race: solve_portfolio() below is a
+/// blocking call on an inline, cache-less engine.
 ///
 /// A batch is served in four steps:
 ///  1. *Cache lookup* — every request's canonical instance key
@@ -22,7 +23,7 @@
 ///  3. *Fan-out* — every (leader, strategy) pair becomes one pool task, so
 ///     strategy-level parallelism spans request boundaries and the pool
 ///     stays saturated even when one straggler request is left. Groups are
-///     dispatched in descending RequestOptions::priority order. Under
+///     dispatched in descending SolveRequest::priority order. Under
 ///     PruningPolicy::Deterministic a group's tasks go out stage by stage
 ///     (trees, then bound providers, then LP refinement heuristics): the
 ///     task that completes a stage freezes the group's incumbent snapshot
@@ -30,10 +31,10 @@
 ///     which strategies ran — never on timing — while tasks of *different*
 ///     groups still interleave freely and keep the pool saturated.
 ///  4. *Streaming delivery* — when the last strategy of a group finishes,
-///     the group's result is assembled, cached and delivered (leader
-///     first, then followers) through the batch callback; other requests
-///     keep running. No barrier: time-to-first-result is one request's
-///     solve time, not the whole batch's.
+///     the group's result is assembled, cached when complete and delivered
+///     (leader first, then followers) through the batch callback; other
+///     requests keep running. No barrier: time-to-first-result is one
+///     request's solve time, not the whole batch's.
 ///
 /// Budget semantics: deadlines are anchored when the batch enters the
 /// engine and enforced cooperatively at checkpoint granularity — between
@@ -41,17 +42,16 @@
 /// iterations inside an LP solve — so an expired deadline surfaces within
 /// one checkpoint interval. Nothing is ever killed mid-pivot.
 /// Cancellation is cooperative through the same checkpoints, per request
-/// (RequestOptions::cancel) or per batch (SolveTicket::cancel()).
+/// (SolveRequest::cancel) or per batch (the token given to submit_batch()).
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/problem.hpp"
+#include "pmcast/request.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/portfolio.hpp"
@@ -70,97 +70,36 @@ struct EngineOptions {
   PortfolioOptions portfolio;
 };
 
-/// Per-request knobs layered on top of EngineOptions::portfolio. This is
-/// the runtime mirror of the facade's pmcast::SolveRequest.
-struct RequestOptions {
-  /// Sentinel-aware budget merged over the engine default: deadline_ms 0,
-  /// exact_max_nodes < 0 and exact_max_trees 0 each inherit. Careful:
-  /// assigning a default-constructed SolveBudget{} here is NOT "inherit"
-  /// — it carries the concrete engine defaults (9 / 200k) and overrides
-  /// an engine configured differently. Use SolveBudget::inherit().
-  SolveBudget budget = SolveBudget::inherit();
-  /// Strategy allowlist; empty inherits the engine portfolio.
-  std::vector<StrategyId> strategies;
-  /// Higher-priority requests are dispatched to the pool first.
-  int priority = 0;
-  /// Cooperative cancellation; request_stop() makes not-yet-started
-  /// strategies of this request skip.
-  CancellationToken cancel;
-  /// Cooperative-pruning override; nullopt inherits the engine portfolio's
-  /// policy. A coalesced group runs under its leader's policy.
-  std::optional<PruningPolicy> pruning;
-  /// Caller-proven lower bound on the achievable period (0 = none); seeds
-  /// the race's incumbent so early-win cuts can fire from the start.
-  double known_lower_bound = 0.0;
-};
-
 namespace detail {
 struct EngineBatchState;  // defined in engine.cpp
 struct EngineGroup;       // defined in engine.cpp
 }
 
 /// Streaming delivery: called once per request with its batch index, as
-/// results become available. Callbacks are serialized; cache hits fire on
-/// the submitting thread, the rest on whichever thread finishes a group's
-/// last strategy (the submitting thread itself when threads == 0). A
-/// callback must not block on its own ticket.
+/// results become available, and handed the result by move. Cache hits
+/// fire on the submitting thread, the rest on whichever thread finishes a
+/// group's last strategy (the submitting thread itself when threads == 0),
+/// so calls for different indices may run concurrently.
 using BatchCallback =
-    std::function<void(std::size_t index, const PortfolioResult& result)>;
-
-/// Handle to one in-flight batch. Copyable; copies share the state, which
-/// outlives the engine's interest in it (tasks hold shared ownership).
-class SolveTicket {
- public:
-  SolveTicket() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  std::size_t size() const;
-  /// Results delivered so far.
-  std::size_t completed() const;
-  bool done() const;
-  /// Block until every result is delivered (including callbacks).
-  void wait();
-  /// Wait up to \p timeout_ms; true iff the batch completed.
-  bool wait_for(double timeout_ms);
-  /// Cooperatively cancel every request of the batch.
-  void cancel();
-  bool ready(std::size_t index) const;
-  /// Block until request \p index is delivered, then copy its result out.
-  PortfolioResult result(std::size_t index) const;
-  /// wait(), then move all results out (one-shot). Index-aligned. The
-  /// ticket stays done(); result(i) afterwards returns moved-from values.
-  std::vector<PortfolioResult> take_all();
-
- private:
-  friend class PortfolioEngine;
-  explicit SolveTicket(std::shared_ptr<detail::EngineBatchState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<detail::EngineBatchState> state_;
-};
+    std::function<void(std::size_t index, PortfolioResult&& result)>;
 
 class PortfolioEngine {
  public:
   explicit PortfolioEngine(EngineOptions options = {});
 
   /// Async-first entry point: dispatch the batch and return immediately
-  /// (with 0 worker threads everything runs inline first). Problems and
-  /// requests are copied into the batch state; the spans need not outlive
-  /// the call.
-  SolveTicket submit_batch(std::span<const core::MulticastProblem> problems,
-                           std::span<const RequestOptions> requests = {},
-                           BatchCallback on_result = {});
+  /// (with 0 worker threads everything runs inline first). Each request's
+  /// problem is moved into the batch. \p batch_cancel stops every request
+  /// of the batch cooperatively.
+  void submit_batch(std::vector<SolveRequest> requests,
+                    BatchCallback on_result,
+                    CancellationToken batch_cancel = {});
 
-  /// Solve one instance (cache-aware). Blocks until done.
-  PortfolioResult solve(const core::MulticastProblem& problem,
-                        const RequestOptions& request = {});
+  /// Solve one request (cache-aware). Blocks until done.
+  PortfolioResult solve(SolveRequest request);
 
-  /// Blocking batch; results align index-for-index with \p problems.
-  /// \p requests may be empty or shorter than \p problems — requests
-  /// without a matching entry use the engine defaults.
-  std::vector<PortfolioResult> solve_batch(
-      std::span<const core::MulticastProblem> problems,
-      std::span<const RequestOptions> requests = {});
+  /// Blocking batch; results align index-for-index with \p requests.
+  std::vector<PortfolioResult> solve_batch(std::vector<SolveRequest> requests);
 
   CacheStats cache_stats() const { return cache_.stats(); }
   /// Per-shard heat counters of the result cache (index == shard id).
@@ -184,6 +123,10 @@ class PortfolioEngine {
   void complete_stage_task(
       const std::shared_ptr<detail::EngineBatchState>& state,
       detail::EngineGroup* group);
+  /// Assemble the group's result, cache it when complete, and deliver it
+  /// to the leader and then every follower.
+  void finish_group(detail::EngineBatchState& state,
+                    detail::EngineGroup& group);
 
   EngineOptions options_;
   // Declared before the pool so they outlive it: the pool's destructor

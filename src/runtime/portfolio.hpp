@@ -75,6 +75,12 @@ inline bool is_pruned(SkipReason reason) {
   return reason == SkipReason::Dominated || reason == SkipReason::EarlyWin;
 }
 
+/// True for the two skip reasons the request's budget caused.
+inline bool is_budget_cut(SkipReason reason) {
+  return reason == SkipReason::DeadlineExpired ||
+         reason == SkipReason::Cancelled;
+}
+
 struct CandidateOutcome {
   StrategyId strategy = StrategyId::Mcph;
   CandidateState state = CandidateState::Skipped;

@@ -20,9 +20,13 @@
 /// TraceEventKind, and the PruneCounters/PruningSummary/SolveTrace records
 /// a PortfolioResult carries.
 ///
+/// Requests are the public pmcast::SolveRequest (pmcast/request.hpp).
+///
 /// Quickstart:
 ///   runtime::PortfolioEngine engine({.threads = 8});
-///   runtime::PortfolioResult r = engine.solve(problem);
+///   SolveRequest request;
+///   request.problem = problem;
+///   runtime::PortfolioResult r = engine.solve(std::move(request));
 ///   if (r.ok) use(r.period);  // certificate-validated
 /// See DESIGN_RUNTIME.md for the architecture notes.
 

@@ -164,7 +164,13 @@ TEST(WarmStartDifferential, EngineDeterministicAcrossThreadCountsWithWarmLp) {
     options.cache_capacity = 0;  // force real solves on every run
     options.portfolio.strategies = lp_strategies;
     runtime::PortfolioEngine engine(options);
-    auto results = engine.solve_batch(batch);
+    std::vector<SolveRequest> requests;
+    for (const auto& p : batch) {
+      SolveRequest request;
+      request.problem = p;
+      requests.push_back(std::move(request));
+    }
+    auto results = engine.solve_batch(std::move(requests));
     if (threads == 1) {
       expected = std::move(results);
       for (const auto& r : expected) EXPECT_TRUE(r.ok);

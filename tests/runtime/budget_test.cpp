@@ -76,12 +76,13 @@ TEST(SolveBudget, NoDeadlineRequestSurvivesAStarvingEngineDefault) {
   core::MulticastProblem problem(g, 0, {2});
 
   PortfolioEngine engine(options);
-  PortfolioResult starved = engine.solve(problem);
+  SolveRequest request;
+  request.problem = problem;
+  PortfolioResult starved = engine.solve(request);
   EXPECT_FALSE(starved.ok);
 
-  RequestOptions unlimited;
-  unlimited.budget.deadline_ms = SolveBudget::kNoDeadline;
-  PortfolioResult solved = engine.solve(problem, unlimited);
+  request.deadline_ms = SolveBudget::kNoDeadline;
+  PortfolioResult solved = engine.solve(request);
   EXPECT_TRUE(solved.ok);
 }
 
@@ -99,14 +100,14 @@ TEST(SolveBudget, CoalescedFollowerWithNoDeadlineWidensTheGroupDeadline) {
   g.add_bidirectional(0, 1, 1.0);
   g.add_bidirectional(1, 2, 1.0);
   core::MulticastProblem problem(g, 0, {2});
-  std::vector<core::MulticastProblem> batch{problem, problem};
-
-  std::vector<RequestOptions> requests(2);
-  requests[0].budget.deadline_ms = 1e-6;  // expired at batch entry
-  requests[1].budget.deadline_ms = SolveBudget::kNoDeadline;
+  std::vector<SolveRequest> requests(2);
+  requests[0].problem = problem;
+  requests[0].deadline_ms = 1e-6;  // expired at batch entry
+  requests[1].problem = problem;
+  requests[1].deadline_ms = SolveBudget::kNoDeadline;
 
   PortfolioEngine engine(options);
-  auto results = engine.solve_batch(batch, requests);
+  auto results = engine.solve_batch(std::move(requests));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[1].ok) << "kNoDeadline follower was starved";
   EXPECT_TRUE(results[1].coalesced);

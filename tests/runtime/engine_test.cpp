@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/problem.hpp"
+#include "graph/io.hpp"
 #include "graph/rng.hpp"
+
+#ifndef PMCAST_TEST_DATA_DIR
+#error "PMCAST_TEST_DATA_DIR must point at tests/data (set by CMake)"
+#endif
 
 namespace pmcast::runtime {
 namespace {
@@ -42,14 +50,35 @@ MulticastProblem random_problem(std::uint64_t seed) {
   }
 }
 
+SolveRequest request_for(const MulticastProblem& problem) {
+  SolveRequest request;
+  request.problem = problem;
+  return request;
+}
+
+std::vector<SolveRequest> requests_of(
+    const std::vector<MulticastProblem>& problems) {
+  std::vector<SolveRequest> requests;
+  for (const MulticastProblem& p : problems) requests.push_back(request_for(p));
+  return requests;
+}
+
+MulticastProblem load_problem(const std::string& file) {
+  auto platform =
+      load_platform(std::string(PMCAST_TEST_DATA_DIR) + "/" + file);
+  EXPECT_TRUE(platform.ok()) << file << ": " << platform.status().to_string();
+  return MulticastProblem(platform->graph, platform->source,
+                          platform->targets);
+}
+
 TEST(Engine, SameInstanceTwiceIsACacheHitWithIdenticalPeriod) {
   PortfolioEngine engine(with_threads(2));
   MulticastProblem p = random_problem(1);
-  PortfolioResult first = engine.solve(p);
+  PortfolioResult first = engine.solve(request_for(p));
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.from_cache);
 
-  PortfolioResult second = engine.solve(p);
+  PortfolioResult second = engine.solve(request_for(p));
   ASSERT_TRUE(second.ok);
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.period, first.period);  // bit-identical
@@ -64,7 +93,7 @@ TEST(Engine, SameInstanceTwiceIsACacheHitWithIdenticalPeriod) {
 TEST(Engine, RebuiltInstanceHitsCacheThroughCanonicalHash) {
   PortfolioEngine engine(with_threads(1));
   MulticastProblem p = random_problem(2);
-  ASSERT_TRUE(engine.solve(p).ok);
+  ASSERT_TRUE(engine.solve(request_for(p)).ok);
 
   // Same instance, edges inserted in reverse order, targets shuffled.
   Digraph g(p.graph.node_count());
@@ -74,7 +103,7 @@ TEST(Engine, RebuiltInstanceHitsCacheThroughCanonicalHash) {
   }
   std::vector<NodeId> targets(p.targets.rbegin(), p.targets.rend());
   MulticastProblem rebuilt(g, p.source, targets);
-  PortfolioResult r = engine.solve(rebuilt);
+  PortfolioResult r = engine.solve(request_for(rebuilt));
   EXPECT_TRUE(r.from_cache);
 }
 
@@ -83,7 +112,7 @@ TEST(Engine, BatchCoalescesDuplicateInstances) {
   MulticastProblem a = random_problem(3);
   MulticastProblem b = random_problem(4);
   std::vector<MulticastProblem> batch{a, b, a, a, b};
-  auto results = engine.solve_batch(batch);
+  auto results = engine.solve_batch(requests_of(batch));
   ASSERT_EQ(results.size(), 5u);
   for (const auto& r : results) ASSERT_TRUE(r.ok);
 
@@ -105,10 +134,10 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
   for (std::uint64_t s = 10; s < 16; ++s) batch.push_back(random_problem(s));
 
   PortfolioEngine baseline(with_threads(0));  // inline reference
-  auto expected = baseline.solve_batch(batch);
+  auto expected = baseline.solve_batch(requests_of(batch));
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(with_threads(threads));
-    auto results = engine.solve_batch(batch);
+    auto results = engine.solve_batch(requests_of(batch));
     ASSERT_EQ(results.size(), expected.size());
     for (size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].ok, expected[i].ok)
@@ -124,37 +153,58 @@ TEST(Engine, ThreadCountsOneTwoEightAgree) {
 TEST(Engine, PerRequestDeadlineOnlyAffectsThatRequest) {
   PortfolioEngine engine(with_threads(2));
   std::vector<MulticastProblem> batch{random_problem(20), random_problem(21)};
-  std::vector<RequestOptions> requests(2);
-  requests[0].budget.deadline_ms = 1e-6;  // already expired at batch entry
-  auto results = engine.solve_batch(batch, requests);
+  std::vector<SolveRequest> requests = requests_of(batch);
+  requests[0].deadline_ms = 1e-6;  // already expired at batch entry
+  auto results = engine.solve_batch(std::move(requests));
   EXPECT_FALSE(results[0].ok);
   EXPECT_TRUE(results[1].ok);
   // The starved result must not poison the cache: retrying without the
   // deadline has to actually solve (a miss, then certified).
-  PortfolioResult retry = engine.solve(batch[0]);
+  PortfolioResult retry = engine.solve(request_for(batch[0]));
   EXPECT_TRUE(retry.ok);
   EXPECT_FALSE(retry.from_cache);
 }
 
-TEST(Engine, ShorterRequestSpanFallsBackToDefaults) {
-  PortfolioEngine engine(with_threads(2));
-  std::vector<MulticastProblem> batch{random_problem(40), random_problem(41),
-                                      random_problem(42)};
-  std::vector<RequestOptions> requests(1);  // covers only the first request
-  requests[0].budget.deadline_ms = 1e-6;
-  auto results = engine.solve_batch(batch, requests);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].ok);  // starved by its own deadline
-  EXPECT_TRUE(results[1].ok);   // default (unlimited) budget
-  EXPECT_TRUE(results[2].ok);
+TEST(Engine, PartialAnswersNeverPoisonTheCache) {
+  // A narrowed strategy set or a deadline that cuts the LP strategies can
+  // certify a worse period than the full portfolio (221 vs 104.2 here). A
+  // later full request on the same engine must get the full answer.
+  MulticastProblem p = load_problem("power_law-n8-d80u-s3.platform");
+  PortfolioEngine reference(with_threads(2));
+  PortfolioResult full = reference.solve(request_for(p));
+  ASSERT_TRUE(full.ok);
+
+  SolveRequest narrowed = request_for(p);
+  narrowed.strategies = {StrategyId::Mcph};
+  SolveRequest deadline_cut = request_for(p);
+  deadline_cut.deadline_ms = 1.0;
+  for (const SolveRequest& partial : {narrowed, deadline_cut}) {
+    PortfolioEngine engine(with_threads(2));
+    PortfolioResult first = engine.solve(partial);
+    // The 1 ms deadline cuts the LP strategies on any realistic machine;
+    // if it cut nothing, the answer is complete and may be cached.
+    const bool is_partial =
+        !partial.strategies.empty() ||
+        std::any_of(first.candidates.begin(), first.candidates.end(),
+                    [](const CandidateOutcome& c) {
+                      return is_budget_cut(c.skip_reason);
+                    });
+    PortfolioResult later = engine.solve(request_for(p));
+    ASSERT_TRUE(later.ok);
+    EXPECT_EQ(later.period, full.period);
+    EXPECT_EQ(later.winner, full.winner);
+    if (is_partial) {
+      EXPECT_FALSE(later.from_cache);
+    }
+  }
 }
 
 TEST(Engine, CancellationStopsOneRequest) {
   PortfolioEngine engine(with_threads(1));
-  std::vector<MulticastProblem> batch{random_problem(22), random_problem(23)};
-  std::vector<RequestOptions> requests(2);
+  std::vector<SolveRequest> requests =
+      requests_of({random_problem(22), random_problem(23)});
   requests[0].cancel.request_stop();
-  auto results = engine.solve_batch(batch, requests);
+  auto results = engine.solve_batch(std::move(requests));
   EXPECT_FALSE(results[0].ok);
   EXPECT_TRUE(results[1].ok);
 }
@@ -162,8 +212,8 @@ TEST(Engine, CancellationStopsOneRequest) {
 TEST(Engine, CacheDisabledStillSolves) {
   PortfolioEngine engine(with_threads(1, /*cache_capacity=*/0));
   MulticastProblem p = random_problem(30);
-  EXPECT_TRUE(engine.solve(p).ok);
-  PortfolioResult again = engine.solve(p);
+  EXPECT_TRUE(engine.solve(request_for(p)).ok);
+  PortfolioResult again = engine.solve(request_for(p));
   EXPECT_TRUE(again.ok);
   EXPECT_FALSE(again.from_cache);
 }

@@ -101,7 +101,9 @@ TEST(Portfolio, DeterministicAcrossThreadCounts) {
       options.threads = threads;
       options.cache_capacity = 0;
       PortfolioEngine engine(options);
-      PortfolioResult r = engine.solve(p);
+      SolveRequest request;
+      request.problem = p;
+      PortfolioResult r = engine.solve(std::move(request));
       ASSERT_EQ(r.ok, inline_r.ok) << threads << " threads, seed " << seed;
       // Bit-identical, not approximately equal: each strategy is a pure
       // function of the instance regardless of which worker ran it.

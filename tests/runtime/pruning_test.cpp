@@ -47,6 +47,17 @@ std::vector<core::MulticastProblem> golden_corpus() {
   return problems;
 }
 
+std::vector<SolveRequest> requests_of(
+    const std::vector<core::MulticastProblem>& problems) {
+  std::vector<SolveRequest> requests;
+  for (const auto& p : problems) {
+    SolveRequest request;
+    request.problem = p;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 core::MulticastProblem dense_instance(std::uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   while (true) {
@@ -178,7 +189,8 @@ TEST(PruningDifferential, DeterministicMatchesOffOnTheGoldenCorpus) {
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(
         engine_options(threads, PruningPolicy::Deterministic));
-    std::vector<PortfolioResult> pruned = engine.solve_batch(corpus);
+    std::vector<PortfolioResult> pruned =
+        engine.solve_batch(requests_of(corpus));
     ASSERT_EQ(pruned.size(), corpus.size());
     for (size_t i = 0; i < corpus.size(); ++i) {
       const PortfolioResult& off = blind[i];
@@ -215,7 +227,7 @@ TEST(PruningDifferential, DeterministicCandidatesIdenticalAcrossThreads) {
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(
         engine_options(threads, PruningPolicy::Deterministic));
-    runs.push_back(engine.solve_batch(corpus));
+    runs.push_back(engine.solve_batch(requests_of(corpus)));
   }
   const auto& reference = runs[0];
   for (size_t run = 1; run < runs.size(); ++run) {
@@ -401,9 +413,10 @@ TEST(Pruning, KnownLowerBoundRidesTheRequestThroughTheEngine) {
   // back as a proven bound must keep the answer identical (early-win may
   // prune the tail, never the winner).
   PortfolioEngine engine(engine_options(2, PruningPolicy::Deterministic));
-  RequestOptions request;
+  SolveRequest request;
+  request.problem = problem;
   request.known_lower_bound = blind.period;
-  PortfolioResult result = engine.solve(problem, request);
+  PortfolioResult result = engine.solve(std::move(request));
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.period, blind.period);
   EXPECT_GE(result.pruning.proven_lower_bound, blind.period);

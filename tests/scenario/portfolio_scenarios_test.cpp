@@ -25,6 +25,17 @@ std::vector<core::MulticastProblem> mixed_batch() {
   return batch;
 }
 
+std::vector<SolveRequest> requests_of(
+    const std::vector<core::MulticastProblem>& problems) {
+  std::vector<SolveRequest> requests;
+  for (const auto& p : problems) {
+    SolveRequest request;
+    request.problem = p;
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
 EngineOptions engine_options(int threads) {
   EngineOptions options;
   options.threads = threads;
@@ -42,7 +53,7 @@ TEST(PortfolioScenarios, DeterministicAcrossThreadCounts) {
   std::vector<std::vector<PortfolioResult>> runs;
   for (int threads : {1, 2, 8}) {
     PortfolioEngine engine(engine_options(threads));
-    runs.push_back(engine.solve_batch(batch));
+    runs.push_back(engine.solve_batch(requests_of(batch)));
     ASSERT_EQ(runs.back().size(), batch.size()) << threads << " threads";
   }
 
@@ -68,7 +79,7 @@ TEST(PortfolioScenarios, DeterministicAcrossThreadCounts) {
 TEST(PortfolioScenarios, BatchResultsAreOracleClean) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<PortfolioResult> results = engine.solve_batch(requests_of(batch));
 
   OracleOptions options;
   options.portfolio = engine_options(2).portfolio;
@@ -81,7 +92,7 @@ TEST(PortfolioScenarios, BatchResultsAreOracleClean) {
 TEST(PortfolioScenarios, DuplicatesCoalesceToIdenticalAnswers) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> results = engine.solve_batch(batch);
+  std::vector<PortfolioResult> results = engine.solve_batch(requests_of(batch));
 
   size_t n = results.size();
   // The two appended duplicates mirror requests 0 and 3.
@@ -94,8 +105,8 @@ TEST(PortfolioScenarios, DuplicatesCoalesceToIdenticalAnswers) {
 TEST(PortfolioScenarios, WarmCacheServesIdenticalPeriods) {
   std::vector<core::MulticastProblem> batch = mixed_batch();
   PortfolioEngine engine(engine_options(2));
-  std::vector<PortfolioResult> cold = engine.solve_batch(batch);
-  std::vector<PortfolioResult> warm = engine.solve_batch(batch);
+  std::vector<PortfolioResult> cold = engine.solve_batch(requests_of(batch));
+  std::vector<PortfolioResult> warm = engine.solve_batch(requests_of(batch));
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(warm[i].from_cache) << i;
     EXPECT_DOUBLE_EQ(warm[i].period, cold[i].period) << i;
